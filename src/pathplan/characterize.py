@@ -174,7 +174,7 @@ def weakly_smart_skeleton(skeleton: Sequence[Atom], query: AtomicQuery) -> bool:
     return len(skeleton) > 0 and weakly_smart_semantics(sem, query)
 
 
-def is_weakly_smart(plan: ExecutionPlan, query: AtomicQuery, catalog=None) -> bool:
+def is_weakly_smart(plan: ExecutionPlan, query: AtomicQuery) -> bool:
     """Decide weak smartness of the plan, filters included.
 
     The filtered semantics is evaluated on the canonical database of its
@@ -264,7 +264,7 @@ def smart_shape(plan: ExecutionPlan, query: AtomicQuery) -> bool:
     return dec is not None
 
 
-def is_smart(plan: ExecutionPlan, query: AtomicQuery, catalog=None) -> Verdict:
+def is_smart(plan: ExecutionPlan, query: AtomicQuery) -> Verdict:
     """Three-way verdict: smart, weakly smart only, or neither.
 
     Smartness holds when the plan is well-filtering, every filter sits inside

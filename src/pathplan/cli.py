@@ -7,7 +7,6 @@ failed, 5 characterization and oracle disagree.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -22,17 +21,6 @@ EXIT_CHECK_FAILED = 4
 EXIT_DISAGREEMENT = 5
 
 DEFAULT_CONSTANT = "a"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PATHPLAN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
 
 
 def _load_catalog(path: str):
@@ -145,7 +133,6 @@ def _cmd_bench(args) -> int:
         values,
         seeds=args.seeds,
         timeout_ms=args.timeout_ms,
-        workers=_worker_count(),
     )
     text = synth.sweep_csv(result)
     if args.out:

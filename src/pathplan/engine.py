@@ -78,9 +78,6 @@ class Member:
 @dataclass(frozen=True)
 class SuccessorRecord:
     advanced: frozenset
-    start_count: int
-    end_count: int
-    designated_ended: bool
     started: tuple = ()
     ended: tuple = ()
 
@@ -92,7 +89,7 @@ def state_consistent(members: Iterable[Member]) -> bool:
 
 
 def search_successors(members: Iterable[Member]) -> SuccessorRecord:
-    """Advance every member one scan step, counting starts and ends."""
+    """Advance every member one scan step, collecting starts and ends."""
     advanced = []
     started = []
     ended = []
@@ -111,14 +108,7 @@ def search_successors(members: Iterable[Member]) -> SuccessorRecord:
                 started.append(m)
             else:
                 advanced.append(replace(m, index=m.index - 1))
-    return SuccessorRecord(
-        frozenset(advanced),
-        len(started),
-        len(ended),
-        any(m.designated for m in ended),
-        tuple(started),
-        tuple(ended),
-    )
+    return SuccessorRecord(frozenset(advanced), tuple(started), tuple(ended))
 
 
 @dataclass
@@ -177,8 +167,18 @@ class _StopSearch(Exception):
     pass
 
 
+# Where the walk of a seed's plan ends: at 0 past the query atom, or at 1.
+_WALK_END = {"bounded": 0, "inverse": 0, "loose": 1, "to1": 1}
+
+
 class _Searcher:
-    """One depth-first run over all seeds for a fixed query and closure."""
+    """One depth-first run over all seeds for a fixed query and closure.
+
+    ``modes`` names the seed families, in the order they run; each result
+    is a ``(views, mode)`` pair carrying the mode of its seed.
+    """
+
+    modes = ("bounded", "loose")
 
     def __init__(
         self,
@@ -190,7 +190,6 @@ class _Searcher:
         single: bool = False,
         use_loops: bool = True,
         emit_gate: Optional[Callable] = None,
-        seeds_override: Optional[Callable] = None,
         prune_dominated: bool = False,
     ):
         self.closure = list(closure)
@@ -211,7 +210,6 @@ class _Searcher:
         self.single = single
         self.use_loops = use_loops
         self.emit_gate = emit_gate
-        self.seeds_override = seeds_override
         self.visited = set()
         self.stats = _SearchStats()
         self.results: List[tuple] = []
@@ -224,8 +222,7 @@ class _Searcher:
                     self._loops.append((v, p))
 
     def run(self):
-        seeds = self.seeds_override() if self.seeds_override else self._seeds()
-        for members, recs, obligation, mode in seeds:
+        for members, recs, obligation, mode in self._seeds():
             if len(set(members)) != len(members):
                 continue
             if not state_consistent(members):
@@ -252,12 +249,15 @@ class _Searcher:
         when their first-scan emissions match.
         """
         tables = self._seed_tables()
-        for mode, bottom in self._bottom_options():
-            yield from self._seed_combos(mode, bottom, tables)
+        for mode in self.modes:
+            for bottom in self._bottoms(mode):
+                yield from self._seed_combos(mode, bottom, tables)
 
     def _seed_tables(self):
         """Extra structures and designated options, bucketed by the atom
-        they emit at the first scan position."""
+        they emit at the first scan position.  Designated options differ
+        only between loose mode and the rest, so they are keyed by
+        ``mode == "loose"``."""
         extra_buckets = {}
         for x in self._extra_structures():
             e = _entry_emission(x[0])
@@ -265,18 +265,19 @@ class _Searcher:
                 continue
             extra_buckets.setdefault(e, []).append(x)
         des_buckets = {}
-        for mode in ("bounded", "loose", "to1"):
+        for mode in ("bounded", "loose"):
             buckets = {}
             for d in self._designated_options(None, mode):
                 e = _entry_emission(d[0])
                 if e == "clash":
                     continue
                 buckets.setdefault(e, []).append(d)
-            des_buckets[mode] = buckets
+            des_buckets[mode == "loose"] = buckets
         return extra_buckets, des_buckets
 
     def _seed_combos(self, mode, bottom, tables):
         extra_buckets, des_buckets = tables
+        des_buckets = des_buckets[mode == "loose"]
         allow_extra = not bottom[3]
         want = _entry_emission(bottom[0])
         if want == "clash":
@@ -301,9 +302,9 @@ class _Searcher:
             if des_options is not None:
                 candidates = des_options
             elif want is None:
-                candidates = [d for ds in des_buckets[mode].values() for d in ds]
+                candidates = [d for ds in des_buckets.values() for d in ds]
             else:
-                candidates = des_buckets[mode].get(want, []) + des_buckets[mode].get(None, [])
+                candidates = des_buckets.get(want, []) + des_buckets.get(None, [])
             for des in candidates:
                 d_members, d_recs, d_obligation = des
                 if des_options is not None:
@@ -330,11 +331,26 @@ class _Searcher:
         rec = _CallRec(tok, view, [_Part(window, 1, len(window), BACKWARD, False, trailing=True)])
         return ([member], [rec], None, False)
 
-    def _bottom_options(self):
-        for bottom in self._bounded_bottoms():
-            yield "bounded", bottom
-        for bottom in self._loose_bottoms():
-            yield "loose", bottom
+    def _bottoms(self, mode):
+        """Final structures of one seed mode.
+
+        ``inverse`` bottoms descend to the query atom inside a final call
+        whose skeleton runs one inverse query atom past it; ``to1`` bottoms
+        end the walk at position 1, for a final ``(rel, rel^-)`` call to
+        close.  Both exist only when such final calls do.
+        """
+        if mode == "bounded":
+            yield from self._bounded_bottoms()
+        elif mode == "loose":
+            yield from self._loose_bottoms()
+        elif mode == "inverse":
+            for f in _past_query_views(self.closure, self.query):
+                if len(f) >= 3:
+                    yield self._trailing_bottom(f, 2)
+        elif mode == "to1":
+            if any(len(f) == 2 for f in _past_query_views(self.closure, self.query)):
+                for members, recs, obligation in self._ender_structures(1):
+                    yield (members, recs, obligation, False)
 
     def _bounded_bottoms(self):
         """Final-call structures whose skeleton ends with the query atom."""
@@ -869,7 +885,7 @@ class _Searcher:
             return
         if self.emit_gate is not None and not self.emit_gate(views):
             return
-        self.results.append(views)
+        self.results.append((views, mode))
         self.stats.plans_emitted += 1
         if self.single or self.stats.plans_emitted >= self.max_plans:
             raise _StopSearch
@@ -898,8 +914,7 @@ class _Searcher:
                 if stretch is None:
                     return None
                 walk[tok] = stretch
-        terminal = 0 if mode == "bounded" else 1
-        chain = self._chain_walk(walk, m + 1, terminal)
+        chain = self._chain_walk(walk, m + 1, _WALK_END[mode])
         if chain is None:
             return None
         seen = set(group_a)
@@ -978,6 +993,13 @@ class _Searcher:
         f = fwd[0]
         start = f.entry + 1 - f.idx0
         return (start, start + len(f.window))
+
+
+class _SmartSearcher(_Searcher):
+    """The bounded and loose seeds plus the two smart shapes whose final
+    call runs past the query atom, so one run yields every smart core."""
+
+    modes = ("bounded", "loose", "inverse", "to1")
 
 
 # -- public enumeration API --------------------------------------------------
@@ -1089,7 +1111,7 @@ def enumerate_minimal_weakly_smart(
         prune_dominated=True,
     )
     searcher.run()
-    raw.extend(searcher.results)
+    raw.extend(views for views, _ in searcher.results)
     hits = {}
     for views in raw:
         key = tuple(v.key for v in views)
@@ -1161,7 +1183,7 @@ def find_one_weakly_smart(
     )
     searcher.run()
     if searcher.results:
-        views = minimize_views(searcher.results[0], query)
+        views = minimize_views(searcher.results[0][0], query)
         return FindResult(
             PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query)),
             searcher.stats.states_visited,
@@ -1239,6 +1261,26 @@ class SmartHit:
 
 def _two_output_able(view: SubFunction) -> bool:
     return len(view) >= 2 and (len(view) - 1) in view.bindable
+
+
+def _is_tail(view: SubFunction, query: AtomicQuery) -> bool:
+    """Can the view follow a bounded core as the final call: the bare
+    inverse query atom, or a two-output ``(rel^-, rel)`` call?"""
+    rel = query.relation
+    return view.skeleton == (rel.invert(),) or (
+        view.skeleton == (rel.invert(), rel) and _two_output_able(view)
+    )
+
+
+def _past_query_views(closure: Sequence[SubFunction], query: AtomicQuery) -> list:
+    """Two-output views ending with the query atom then its inverse; the
+    filter sits past the output, so their cores stop one atom early."""
+    rel = query.relation
+    return [
+        v
+        for v in closure
+        if len(v) >= 2 and v.skeleton[-2:] == (rel, rel.invert()) and _two_output_able(v)
+    ]
 
 
 def _smart_plan_terminal(views, constant, filter_on_last_var=False):
@@ -1332,8 +1374,15 @@ def enumerate_minimal_smart(
     max_depth: int = 64,
     deadline: Optional[float] = None,
 ) -> List[SmartHit]:
-    """All minimal smart plans: a weakly smart bounded core plus a filter
-    pinned inside a query atom adjacent to the output."""
+    """All minimal smart plans: a bounded core plus a filter pinned inside
+    a query atom adjacent to the output.
+
+    One search yields every core; each plan shape is read off its results:
+    bounded cores (search results and single calls) ending with the query
+    atom, bounded cores extended by a tail call, inverse-mode cores whose
+    final call runs past the query atom, and walks to position 1 closed by
+    a two-atom ``(rel, rel^-)`` call.
+    """
     from .characterize import SMART, is_smart
 
     if not catalog:
@@ -1354,135 +1403,60 @@ def enumerate_minimal_smart(
             return
         candidates[key] = SmartHit(plan, tuple(views), kind)
 
+    def terminal(vs):
+        return _smart_plan_terminal(vs, query.constant)
+
+    def inverse_terminal(vs):
+        return _smart_plan_terminal(vs, query.constant, filter_on_last_var=True)
+
     for v in closure:
         if v.skeleton == (rel,):
             consider((v,), lambda vs: chain_plan(vs, query.constant), "trivial")
 
-    # Bounded cores ending with the query atom (search results plus single
-    # calls), final call upgraded to expose the filtered variable.
-    searcher = _Searcher(
+    searcher = _SmartSearcher(
         closure, query, max_depth=max_depth, max_plans=max_plans, deadline=deadline
     )
     searcher.run()
-    raw = list(searcher.results) + [(v,) for v in closure]
-    for views in raw:
-        skeleton = _concat_skeleton(views)
+    # Bounded cores: search results and single calls.  One ending with the
+    # query atom is a plan once its final call exposes the filtered
+    # variable; any of them is a plan once a tail call follows it.
+    tails = [t for t in closure if _is_tail(t, query)]
+    walks = [views for views, mode in searcher.results if mode in ("bounded", "loose")]
+    cores = []
+    for views in walks + [(v,) for v in closure]:
         last = views[-1]
-        if (
-            len(last) >= 2
-            and last.skeleton[-1] == rel
-            and _two_output_able(last)
-            and is_bounded(skeleton, query) is not None
-        ):
-            consider(
-                views,
-                lambda vs: _smart_plan_terminal(vs, query.constant),
-                "terminal",
-            )
-
-    weak = enumerate_minimal_weakly_smart(
-        query, catalog, max_plans=max_plans, max_depth=max_depth, deadline=deadline
-    )
-    bounded_weak = [h for h in weak if h.shape == "bounded"]
-    for hit in bounded_weak:
-        for j in closure:
-            if j.skeleton == (rel.invert(),):
+        filterable = len(last) >= 2 and last.skeleton[-1] == rel and _two_output_able(last)
+        if not (filterable or tails):
+            continue
+        if is_bounded(_concat_skeleton(views), query) is None:
+            continue
+        if filterable:
+            consider(views, terminal, "terminal")
+        cores.append(views)
+    for views in cores:
+        for t in tails:
+            if len(t) == 1:
                 consider(
-                    hit.views + (j,),
+                    views + (t,),
                     lambda vs: _smart_plan_appended_inverse(vs, query.constant),
                     "appended-inverse",
                 )
-        for e in closure:
-            if e.skeleton == (rel.invert(), rel) and _two_output_able(e):
-                consider(
-                    hit.views + (e,),
-                    lambda vs: _smart_plan_terminal(vs, query.constant),
-                    "terminal",
-                )
+            else:
+                consider(views + (t,), terminal, "terminal")
 
-    # Final calls ending query-atom immediately followed by its inverse:
-    # scan as if the call stopped at the query atom; filter past the output.
-    iii_views = [
-        v
-        for v in closure
-        if len(v) >= 2 and v.skeleton[-2:] == (rel, rel.invert()) and _two_output_able(v)
-    ]
-    for f in iii_views:
-        if len(f) == 2:
-            continue  # handled by the walk-to-1 search below
-        if is_bounded(f.skeleton[:-1], query) is not None:
-            consider(
-                (f,),
-                lambda vs: _smart_plan_terminal(
-                    vs, query.constant, filter_on_last_var=True
-                ),
-                "inverse-terminal",
-            )
-
-    if iii_views:
-        def iii_seeds():
-            s = _Searcher(closure, query)  # seed factory only
-            tables = s._seed_tables()
-            for f in iii_views:
-                if len(f) < 3:
-                    continue
-                bottom = s._trailing_bottom(f, 2)
-                if bottom is None:
-                    continue
-                yield from s._seed_combos("bounded", bottom, tables)
-
-        s3 = _Searcher(
-            closure,
-            query,
-            max_depth=max_depth,
-            max_plans=max_plans,
-            deadline=deadline,
-            emit_gate=lambda vs: is_bounded(_concat_skeleton(vs)[:-1], query) is not None,
-            seeds_override=iii_seeds,
-        )
-        s3.run()
-        for views in s3.results:
-            if views[-1] in iii_views:
-                consider(
-                    views,
-                    lambda vs: _smart_plan_terminal(
-                        vs, query.constant, filter_on_last_var=True
-                    ),
-                    "inverse-terminal",
-                )
-        # Two-atom dive calls appended after a walk that ends at position 1.
-        pairs = [f for f in iii_views if len(f) == 2]
-        if pairs:
-            def to1_seeds():
-                s = _Searcher(closure, query)
-                tables = s._seed_tables()
-                for members, recs, obligation in s._ender_structures(1):
-                    yield from s._seed_combos(
-                        "to1", (members, recs, obligation, False), tables
-                    )
-
-            s4 = _Searcher(
-                closure,
-                query,
-                max_depth=max_depth,
-                max_plans=max_plans,
-                deadline=deadline,
-                emit_gate=lambda vs: is_bounded(
-                    _concat_skeleton(vs) + (rel,), query
-                )
-                is not None,
-                seeds_override=to1_seeds,
-            )
-            s4.run()
-            for views in s4.results:
-                for f in pairs:
-                    consider(
-                        views + (f,),
-                        lambda vs: _smart_plan_terminal(
-                            vs, query.constant, filter_on_last_var=True
-                        ),
-                        "inverse-terminal",
-                    )
+    # Final calls running past the query atom to its inverse: the core
+    # stops one atom early and the filter sits past the output.
+    past = _past_query_views(closure, query)
+    for f in past:
+        if len(f) > 2 and is_bounded(f.skeleton[:-1], query) is not None:
+            consider((f,), inverse_terminal, "inverse-terminal")
+    pairs = [f for f in past if len(f) == 2]
+    for views, mode in searcher.results:
+        if mode == "inverse" and is_bounded(_concat_skeleton(views)[:-1], query) is not None:
+            consider(views, inverse_terminal, "inverse-terminal")
+        elif mode == "to1" and is_bounded(_concat_skeleton(views) + (rel,), query) is not None:
+            for f in pairs:
+                consider(views + (f,), inverse_terminal, "inverse-terminal")
 
     by_views = {}
     for hit in candidates.values():
@@ -1496,6 +1470,34 @@ def enumerate_minimal_smart(
     out = [by_views[views] for views in minimal]
     out.sort(key=lambda h: (tuple(v.name for v in h.views), h.kind))
     return out
+
+
+def smart_plan_exists(
+    query: AtomicQuery,
+    catalog: Sequence[PathFunction],
+    deadline: Optional[float] = None,
+) -> bool:
+    """Does a smart plan exist?  One single-mode search over the shapes
+    ``enumerate_minimal_smart`` reads off its cores: a call sequence that
+    ``_smartable`` accepts, or any bounded core when a tail call exists."""
+    closure = catalog_closure(catalog)
+    rel = query.relation
+    if any(v.skeleton == (rel,) for v in closure):
+        return True
+    tails = any(_is_tail(v, query) for v in closure)
+
+    def gate(views):
+        if _smartable(views, query):
+            return True
+        return tails and is_bounded(_concat_skeleton(views), query) is not None
+
+    searcher = _Searcher(
+        closure, query, max_plans=1, deadline=deadline, single=True, emit_gate=gate
+    )
+    searcher.run()
+    # The search answers most queries; single calls are checked only when
+    # it finds nothing.
+    return bool(searcher.results) or any(gate((v,)) for v in closure)
 
 
 def susie_plans(query: AtomicQuery, catalog: Sequence[PathFunction]) -> List[SmartHit]:

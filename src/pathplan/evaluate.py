@@ -308,7 +308,6 @@ def _instance_family(
 def oracle_is_weakly_smart(
     plan: ExecutionPlan,
     query: AtomicQuery,
-    catalog=None,
     budget: int = 6,
     max_instances: int = 20000,
     mode: str = OPTIONAL_EDGE,
@@ -340,7 +339,6 @@ def oracle_is_weakly_smart(
 def oracle_is_smart(
     plan: ExecutionPlan,
     query: AtomicQuery,
-    catalog=None,
     budget: int = 6,
     max_instances: int = 20000,
     mode: str = OPTIONAL_EDGE,

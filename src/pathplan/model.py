@@ -358,12 +358,11 @@ def reduce_plan(plan: ExecutionPlan) -> ExecutionPlan:
     raise ModelError("plan reduces to nothing: output is unbound")
 
 
-def sub_function_transformation(plan: ExecutionPlan, catalog=None) -> ExecutionPlan:
+def sub_function_transformation(plan: ExecutionPlan) -> ExecutionPlan:
     """Replace each call by the smallest prefix view covering its used outputs.
 
     Preserves the plan output and, under optional edge semantics, the plan's
-    smartness.  The ``catalog`` argument is accepted for interface symmetry;
-    prefix views are derived from the call's parent function directly.
+    smartness.  Prefix views are derived from the call's parent function.
     """
     used = _used_positions(plan)
     new_calls = []

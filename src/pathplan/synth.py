@@ -10,18 +10,13 @@ from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from .characterize import is_bounded
 from .engine import (
-    _Searcher,
-    _concat_skeleton,
-    _smartable,
-    catalog_closure,
     find_one_weakly_smart,
     has_trivial_equivalent_rewriting,
+    smart_plan_exists,
     susie_plans,
 )
 from .model import Atom, AtomicQuery, PathFunction
@@ -86,65 +81,6 @@ def gen_catalog(cfg: SynthConfig) -> List[PathFunction]:
                 break
         catalog.append(PathFunction(f"f{i + 1}", skeleton, (length,)))
     return catalog
-
-
-def smart_plan_exists(
-    query: AtomicQuery,
-    catalog: Sequence[PathFunction],
-    deadline: Optional[float] = None,
-) -> bool:
-    """Existence check mirroring the smart enumeration's plan shapes."""
-    closure = catalog_closure(catalog)
-    rel = query.relation
-    if any(v.skeleton == (rel,) for v in closure):
-        return True
-    # A core whose final call can carry the filter, found by the search.
-    searcher = _Searcher(
-        closure,
-        query,
-        max_plans=1,
-        deadline=deadline,
-        single=True,
-        emit_gate=lambda vs: _smartable(vs, query),
-    )
-    searcher.run()
-    if searcher.results:
-        return True
-    for v in closure:
-        if len(v) == 1:
-            continue
-        if _smartable((v,), query):
-            return True
-    # A bounded weakly smart core extended by an inverse query atom.
-    tails = [
-        v
-        for v in closure
-        if v.skeleton == (rel.invert(),)
-        or (
-            v.skeleton == (rel.invert(), rel)
-            and len(v) >= 2
-            and (len(v) - 1) in v.bindable
-        )
-    ]
-    if tails and _bounded_weak_exists(query, closure, deadline):
-        return True
-    return False
-
-
-def _bounded_weak_exists(query, closure, deadline) -> bool:
-    for v in closure:
-        if is_bounded(v.skeleton, query) is not None:
-            return True
-    searcher = _Searcher(
-        closure,
-        query,
-        max_plans=1,
-        deadline=deadline,
-        single=True,
-        emit_gate=lambda vs: is_bounded(_concat_skeleton(vs), query) is not None,
-    )
-    searcher.run()
-    return bool(searcher.results)
 
 
 @dataclass
@@ -259,7 +195,6 @@ def sweep(
     seeds: int = 20,
     max_length: int = 3,
     timeout_ms: float = 2000.0,
-    workers: int = 1,
 ) -> SweepResult:
     """Average answered fractions over seeds at each axis point."""
     if axis not in ("relations", "functions"):
@@ -271,11 +206,7 @@ def sweep(
         for value in values
         for seed in range(seeds)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_point_job, jobs))
-    else:
-        results = [_point_job(job) for job in jobs]
+    results = [_point_job(job) for job in jobs]
     rows = []
     timeouts = 0
     query_count = 0

@@ -52,14 +52,14 @@ def test_state_consistent_singleton():
 def test_search_successors_single_atom_ends():
     rec = search_successors({member("r", 1, True, True)})
     assert rec.advanced == frozenset()
-    assert rec.end_count == 1 and rec.designated_ended
+    assert len(rec.ended) == 1 and any(m.designated for m in rec.ended)
 
 
 def test_search_successors_mid_flight():
     rec = search_successors(
         {member("u.s.t", 2, True, True), member("t^-.s^-", 2, False)}
     )
-    assert rec.start_count == 0 and rec.end_count == 0
+    assert len(rec.started) == 0 and len(rec.ended) == 0
     indices = sorted((m.index, m.forward) for m in rec.advanced)
     assert indices == [(1, False), (3, True)]
 
@@ -68,7 +68,8 @@ def test_search_successors_start_and_end():
     rec = search_successors(
         {member("u.s.t", 3, True, True), member("t^-.s^-", 1, False)}
     )
-    assert rec.start_count == 1 and rec.end_count == 1 and rec.designated_ended
+    assert len(rec.started) == 1 and len(rec.ended) == 1
+    assert any(m.designated for m in rec.ended)
 
 
 def test_enumerate_fig1():
@@ -291,3 +292,35 @@ def test_enumerated_smart_plans_verify():
             assert is_smart(hit.plan, q).level == SMART
         for hit in enumerate_minimal_weakly_smart(q, cat):
             assert is_weakly_smart(hit.plan, q)
+
+
+def _differential_catalog(t):
+    return gen_catalog(SynthConfig(2 + t % 3, 3 + t % 5, 3, seed=20000 + t))
+
+
+def test_smart_core_need_not_be_minimal_weak():
+    # The core f6.f1.f3.f5 is bounded but not minimal weakly smart; the
+    # inverse call f2 appended to it still gives a minimal smart plan.
+    from pathplan.evaluate import oracle_is_smart
+
+    q = AtomicQuery(Atom("r1"), "a")
+    hits = enumerate_minimal_smart(q, _differential_catalog(264))
+    by_names = {tuple(v.name for v in h.views): h for h in hits}
+    assert ("f6", "f1", "f3", "f5", "f2") in by_names
+    hit = by_names["f6", "f1", "f3", "f5", "f2"]
+    assert hit.kind == "appended-inverse"
+    assert hit.plan.filters == (("v4", "a"),)
+    assert hit.plan.output == "v3"
+    assert is_smart(hit.plan, q).level == SMART
+    assert oracle_is_smart(hit.plan, q, budget=6, max_instances=3000).verdict
+
+
+def test_smart_existence_matches_enumeration():
+    from pathplan.synth import smart_plan_exists, vocabulary
+
+    for t in range(250, 300):
+        cat = _differential_catalog(t)
+        for base in vocabulary(cat):
+            for inv in (False, True):
+                q = AtomicQuery(Atom(base, inv), "a")
+                assert bool(enumerate_minimal_smart(q, cat)) == smart_plan_exists(q, cat), (t, q)
