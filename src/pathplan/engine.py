@@ -15,6 +15,14 @@ their two halves enter the state together as a forward and a backward
 member tied to one call.  Calls that dive through the query atom to the
 bottom of the walk align with the first scanned position, so they are
 seeded explicitly rather than discovered mid-scan.
+
+Every structure that can join a state (an ender, beginner, valley or
+designated call, a beginner-ender pair, a seed extra) is a template built
+once per closure: members without a token, parts without an entry scan,
+plus the atom it emits on entry.  A state looks its candidates up by the
+atom its members emit next, in closure order, and runs every check on the
+templates; a combination is stamped with fresh tokens and its entry scan
+only when it joins, so one template can become several calls of a plan.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .characterize import is_bounded, is_loosely_bounded, weakly_smart_skeleton
 from .model import (
     AtomicQuery,
     ExecutionPlan,
+    ModelError,
     PathFunction,
     SubFunction,
     catalog_closure,
@@ -58,7 +67,9 @@ class Member:
     ``index`` is 1-based into ``atoms``.  A forward member with index < 1 is
     pending and activates later; a backward member with index beyond its
     length idles until the scan reaches its window.  ``token`` ties the
-    member to a call and is excluded from state identity.
+    member to a call and is excluded from state identity.  ``emissions``
+    holds the atom emitted at each index (the inverse atoms for a backward
+    member); it follows from ``atoms`` and ``forward``.
     """
 
     fn_key: tuple
@@ -67,12 +78,22 @@ class Member:
     forward: bool
     designated: bool = False
     token: int = field(default=-1, compare=False, hash=False)
+    emissions: tuple = field(default=None, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        if self.emissions is None:
+            emissions = self.atoms if self.forward else tuple(a.invert() for a in self.atoms)
+            object.__setattr__(self, "emissions", emissions)
 
     def emission(self):
-        if self.index < 1 or self.index > len(self.atoms):
-            return None
-        atom = self.atoms[self.index - 1]
-        return atom if self.forward else atom.invert()
+        if 1 <= self.index <= len(self.atoms):
+            return self.emissions[self.index - 1]
+        return None
+
+
+def _at(m: Member, index: int, token: int) -> Member:
+    """``m`` at ``index`` with ``token`` (faster than ``replace``)."""
+    return Member(m.fn_key, m.atoms, index, m.forward, m.designated, token, m.emissions)
 
 
 @dataclass(frozen=True)
@@ -82,10 +103,27 @@ class SuccessorRecord:
     ended: tuple = ()
 
 
+_CLASH = object()
+
+
+def _common_emission(members: Iterable[Member]):
+    """The atom every active member emits, None when no member is active,
+    or ``_CLASH`` when they disagree."""
+    found = None
+    for m in members:
+        e = m.emission()
+        if e is None:
+            continue
+        if found is None:
+            found = e
+        elif e != found:
+            return _CLASH
+    return found
+
+
 def state_consistent(members: Iterable[Member]) -> bool:
     """All active members emit the same atom."""
-    emissions = {m.emission() for m in members} - {None}
-    return len(emissions) <= 1
+    return _common_emission(members) is not _CLASH
 
 
 def search_successors(members: Iterable[Member]) -> SuccessorRecord:
@@ -96,25 +134,28 @@ def search_successors(members: Iterable[Member]) -> SuccessorRecord:
     for m in members:
         if m.forward:
             if m.index < 1:
-                advanced.append(replace(m, index=m.index + 1))
+                advanced.append(_at(m, m.index + 1, m.token))
             elif m.index + 1 > len(m.atoms):
                 ended.append(m)
             else:
-                advanced.append(replace(m, index=m.index + 1))
+                advanced.append(_at(m, m.index + 1, m.token))
         else:
             if m.index > len(m.atoms):
-                advanced.append(replace(m, index=m.index - 1))
+                advanced.append(_at(m, m.index - 1, m.token))
             elif m.index == 1:
                 started.append(m)
             else:
-                advanced.append(replace(m, index=m.index - 1))
+                advanced.append(_at(m, m.index - 1, m.token))
     return SuccessorRecord(frozenset(advanced), tuple(started), tuple(ended))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Part:
+    """One member's share of a call, for plan assembly.  Its position on
+    the walk follows from the scan at which its call entered the state,
+    which the ``_CallRec`` carrying it records."""
+
     window: tuple
-    entry: int
     idx0: int
     forward: bool
     designated: bool
@@ -127,7 +168,8 @@ class _Part:
 class _CallRec:
     token: int
     view: SubFunction
-    parts: List[_Part]
+    entry: int
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -141,19 +183,131 @@ class _Obligation:
     enter_scan: int
 
 
+@dataclass(frozen=True)
+class _Call:
+    """One call's share of a candidate structure, not yet stamped: members
+    without a token, parts without an entry scan.
 
-def _entry_emission(members: Sequence[Member]):
-    """Unique atom the structure's active members emit at entry, or None.
-
-    Returns the string "clash" when members disagree, marking an invalid
-    structure.
+    A turn call whose descent enters first names its ascending half's
+    ``ascent`` window, which joins ``ascent_after`` scans after the entry
+    as the final designated piece.  A ``continues`` call is such an ascent:
+    it takes the token of the pending obligation's call and consumes it.
     """
-    emissions = {m.emission() for m in members} - {None}
-    if not emissions:
+
+    view: SubFunction
+    members: tuple
+    parts: tuple
+    ascent: Optional[tuple] = None
+    ascent_after: int = 0
+    continues: bool = False
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """Calls entering a state together, with what the run-time checks read:
+    the atom their active members emit at entry (None if none is active),
+    their members as a set, how many are designated, and whether a call
+    opens an obligation."""
+
+    calls: tuple
+    member_set: frozenset
+    emission: object
+    designated: int
+    opens: bool
+
+
+def _structure(*calls: _Call) -> Optional[_Structure]:
+    """The calls as one structure, or None when their members clash or
+    repeat, which no state admits."""
+    members = [m for c in calls for m in c.members]
+    emission = _common_emission(members)
+    member_set = frozenset(members)
+    if emission is _CLASH or len(member_set) != len(members):
         return None
-    if len(emissions) > 1:
-        return "clash"
-    return next(iter(emissions))
+    return _Structure(
+        calls,
+        member_set,
+        emission,
+        sum(1 for m in members if m.designated),
+        any(c.ascent is not None for c in calls),
+    )
+
+
+def _pair(b: _Structure, e: _Structure) -> Optional[_Structure]:
+    """A beginner and an ender entering together, or None when they clash,
+    share a member or both open an obligation."""
+    if (
+        not _compatible(b.emission, e.emission)
+        or not b.member_set.isdisjoint(e.member_set)
+        or (b.opens and e.opens)
+    ):
+        return None
+    return _Structure(
+        b.calls + e.calls,
+        b.member_set | e.member_set,
+        e.emission if b.emission is None else b.emission,
+        b.designated + e.designated,
+        b.opens or e.opens,
+    )
+
+
+def _ascent(view: SubFunction, window: tuple) -> _Structure:
+    """The final designated piece that consumes an obligation."""
+    m = Member(view.key + (1, len(window)), window, 1, FORWARD, designated=True)
+    return _structure(_Call(view, (m,), (_Part(window, 1, FORWARD, True),), continues=True))
+
+
+def _compatible(a, b) -> bool:
+    return a is None or b is None or a == b
+
+
+def _fits(structures) -> bool:
+    """Can the structures form one state: one emitted atom, no repeated
+    member, exactly one designated member?"""
+    atom = None
+    seen = frozenset()
+    designated = 0
+    for s in structures:
+        if not _compatible(atom, s.emission) or not seen.isdisjoint(s.member_set):
+            return False
+        atom = atom if s.emission is None else s.emission
+        seen = seen | s.member_set
+        designated += s.designated
+    return designated == 1
+
+
+def _seed_order(structures: Sequence[_Structure], atom) -> list:
+    """The structures emitting ``atom``, then those emitting nothing; for
+    None, every structure grouped by emission in order of first
+    appearance."""
+    if atom is None:
+        groups = {}
+        for s in structures:
+            groups.setdefault(s.emission, []).append(s)
+        return [s for group in groups.values() for s in group]
+    return [s for s in structures if s.emission == atom] + [
+        s for s in structures if s.emission is None
+    ]
+
+
+class _Table:
+    """Structures of one kind in generation order, looked up by the atom
+    they must emit at entry."""
+
+    def __init__(self, structures: Iterable[Optional[_Structure]]):
+        self.all = [s for s in structures if s is not None]
+        self._matching = {}
+
+    def matching(self, atom) -> list:
+        """The structures emitting ``atom`` or nothing, in table order;
+        every structure when ``atom`` is None."""
+        if atom is None:
+            return self.all
+        found = self._matching.get(atom)
+        if found is None:
+            found = [s for s in self.all if s.emission is None or s.emission == atom]
+            self._matching[atom] = found
+        return found
 
 
 @dataclass
@@ -176,6 +330,12 @@ class _Searcher:
 
     ``modes`` names the seed families, in the order they run; each result
     is a ``(views, mode)`` pair carrying the mode of its seed.
+
+    Every structure that can join a state is built once from the closure,
+    as a template without token or entry scan, into one table per kind.
+    A state looks its candidates up by the atom it emits next, checks them
+    as templates and stamps a combination with fresh tokens only when it
+    joins.
     """
 
     modes = ("bounded", "loose")
@@ -220,24 +380,210 @@ class _Searcher:
                 p = v.parent.pivot()
                 if p is not None and p < len(v):
                     self._loops.append((v, p))
+        self._enders = _Table(_structure(c) for c in self._ender_calls())
+        self._beginners = _Table(_structure(c) for c in self._beginner_calls())
+        self._valleys = _Table(_structure(c) for c in self._valley_calls())
+        self._designated = _Table(_structure(c) for c in self._designated_calls())
+        self._pair_lists = {}
+
+    def _pairs(self, atom) -> list:
+        """Beginner-ender pairs emitting ``atom`` or nothing (every pair for
+        None), beginners outermost, built on first lookup."""
+        found = self._pair_lists.get(atom)
+        if found is None:
+            enders = self._enders.matching(atom)
+            pairs = (_pair(b, e) for b in self._beginners.matching(atom) for e in enders)
+            found = self._pair_lists[atom] = [p for p in pairs if p is not None]
+        return found
 
     def run(self):
-        for members, recs, obligation, mode in self._seeds():
-            if len(set(members)) != len(members):
+        try:
+            for members, recs, obligation, mode in self._seeds():
+                self._search(frozenset(members), 1, recs, obligation, mode, [])
+        except _StopSearch:
+            return
+
+    def _stamp(self, structure: _Structure, entry: int, members: list, recs: list, obligation):
+        """Give each call of the structure, in call order, the entry scan and
+        a fresh token (an ascent takes its obligation's), adding its members
+        and records; returns the obligation once the structure has joined."""
+        for call in structure.calls:
+            if call.continues:
+                tok = obligation.token
+                obligation = replace(obligation, enter_scan=-1)
+            else:
+                tok = next(self._token_counter)
+            members.extend(_at(m, m.index, tok) for m in call.members)
+            recs.append(_CallRec(tok, call.view, entry, call.parts))
+            if call.ascent is not None:
+                obligation = _Obligation(tok, call.view, call.ascent, entry + call.ascent_after)
+        return obligation
+
+    # -- candidate templates ---------------------------------------------------
+
+    def _ender_calls(self):
+        """Calls whose walk stretch ends at the entry position."""
+        for v in self.closure:
+            sk = v.skeleton
+            m = Member(v.key + (1, len(sk)), sk, len(sk), BACKWARD)
+            yield _Call(v, (m,), (_Part(sk, len(sk), BACKWARD, False),))
+        for v, pivot in self._loops:
+            sk = v.skeleton
+            a_win = sk[:pivot]
+            d_win = sk[pivot:]
+            idx0 = len(a_win) - len(d_win) + 1
+            if idx0 <= 1:
+                # Peak call descending into this position; its ascending half
+                # is pending until the scan reaches its window.
+                m1 = Member(v.key + (1, pivot), a_win, idx0, FORWARD)
+                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(d_win), BACKWARD)
+                parts = (
+                    _Part(a_win, idx0, FORWARD, False),
+                    _Part(d_win, len(d_win), BACKWARD, False),
+                )
+                yield _Call(v, (m1, m2), parts)
+            if len(d_win) > len(a_win):
+                # Turn call whose descent enters first; the ascent joins
+                # later as the final designated piece.
+                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(d_win), BACKWARD)
+                yield _Call(
+                    v,
+                    (m2,),
+                    (_Part(d_win, len(d_win), BACKWARD, False),),
+                    ascent=a_win,
+                    ascent_after=len(d_win) - len(a_win),
+                )
+
+    def _beginner_calls(self):
+        """Calls whose walk stretch begins at the entry position."""
+        for v in self.closure:
+            sk = v.skeleton
+            m = Member(v.key + (1, len(sk)), sk, 1, FORWARD)
+            yield _Call(v, (m,), (_Part(sk, 1, FORWARD, False),))
+        for v, pivot in self._loops:
+            # Peak call climbing from this position; its descending half
+            # idles until the scan reaches its window.
+            sk = v.skeleton
+            a_win = sk[:pivot]
+            d_win = sk[pivot:]
+            if len(d_win) > len(a_win):
                 continue
-            if not state_consistent(members):
+            m1 = Member(v.key + (1, pivot), a_win, 1, FORWARD)
+            m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD)
+            parts = (
+                _Part(a_win, 1, FORWARD, False),
+                _Part(d_win, len(a_win), BACKWARD, False),
+            )
+            yield _Call(v, (m1, m2), parts)
+
+    def _valley_calls(self):
+        """Single calls descending into and climbing out of the entry
+        position."""
+        for v, pivot in self._loops:
+            sk = v.skeleton
+            pre = sk[:pivot]
+            post = sk[pivot:]
+            m1 = Member(v.key + (1, pivot), pre, pivot, BACKWARD)
+            m2 = Member(v.key + (pivot + 1, len(sk)), post, 1, FORWARD)
+            parts = (_Part(pre, pivot, BACKWARD, False), _Part(post, 1, FORWARD, False))
+            yield _Call(v, (m1, m2), parts)
+
+    def _designated_calls(self):
+        """The forward path's next piece: any view, or a turn call whose
+        last forward piece and first walk descent cross the top."""
+        for v in self.closure:
+            sk = v.skeleton
+            m = Member(v.key + (1, len(sk)), sk, 1, FORWARD, designated=True)
+            yield _Call(v, (m,), (_Part(sk, 1, FORWARD, True),))
+        for v, pivot in self._loops:
+            sk = v.skeleton
+            a_win = sk[:pivot]
+            d_win = sk[pivot:]
+            if len(d_win) > len(a_win):
                 continue
-            if sum(1 for m in members if m.designated) != 1:
+            m1 = Member(v.key + (1, pivot), a_win, 1, FORWARD, designated=True)
+            m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD)
+            parts = (
+                _Part(a_win, 1, FORWARD, True),
+                _Part(d_win, len(a_win), BACKWARD, False),
+            )
+            yield _Call(v, (m1, m2), parts)
+
+    def _lead_calls(self):
+        """The loose-mode first call, which also carries the leading query
+        atom."""
+        rel = self.query.relation
+        for v in self.closure:
+            sk = v.skeleton
+            if len(sk) < 2 or sk[0] != rel:
                 continue
-            try:
-                self._search(frozenset(members), 1, list(recs), obligation, mode, [])
-            except _StopSearch:
-                return
+            pivot = v.parent.pivot() if self.use_loops else None
+            if pivot is None or pivot < 2:
+                window = sk[1:]
+                m = Member(v.key + (2, len(sk)), window, 1, FORWARD, designated=True)
+                yield _Call(v, (m,), (_Part(window, 1, FORWARD, True),))
+                continue
+            a_win = sk[1:pivot]
+            d_win = sk[pivot:]
+            if a_win and len(d_win) <= len(a_win):
+                m1 = Member(v.key + (2, pivot), a_win, 1, FORWARD, designated=True)
+                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD)
+                parts = (
+                    _Part(a_win, 1, FORWARD, True),
+                    _Part(d_win, len(a_win), BACKWARD, False),
+                )
+                yield _Call(v, (m1, m2), parts)
+
+    def _tail_calls(self):
+        """Calls entering at walk position 0 and ending the walk at 1."""
+        rel = self.query.relation
+        for v in self.closure:
+            sk = v.skeleton
+            if sk == (rel.invert(),):
+                yield _Call(v, (), (_Part((), 0, FORWARD, False, tail=True),))
+            elif self.use_loops and len(sk) >= 3 and sk[0] == rel.invert():
+                pivot = v.parent.pivot()
+                if pivot is None or pivot < 2 or pivot >= len(sk):
+                    continue
+                a_win = sk[1:pivot]
+                d_win = sk[pivot:]
+                if not a_win or len(a_win) != len(d_win):
+                    continue
+                m1 = Member(v.key + (2, pivot), a_win, 1, FORWARD)
+                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD)
+                parts = (
+                    _Part(a_win, 1, FORWARD, False, tail=True),
+                    _Part(d_win, len(a_win), BACKWARD, False, tail=True),
+                )
+                yield _Call(v, (m1, m2), parts)
+
+    def _dip_calls(self):
+        """Mid-walk calls diving through the query atom and climbing back."""
+        if not self.use_loops:
+            return
+        rel = self.query.relation
+        for v in self.closure:
+            pivot = v.parent.pivot()
+            sk = v.skeleton
+            if pivot is None or pivot >= len(sk):
+                continue
+            if sk[pivot - 1] != rel:
+                continue
+            alpha = sk[: pivot - 1]
+            beta = sk[pivot + 1 :]
+            if not alpha and not beta:
+                continue  # pure dive-and-return: removable, never minimal
+            members = []
+            parts = []
+            if alpha:
+                members.append(Member(v.key + (1, pivot - 1), alpha, len(alpha), BACKWARD))
+                parts.append(_Part(alpha, len(alpha), BACKWARD, False, dip=True))
+            if beta:
+                members.append(Member(v.key + (pivot + 2, len(sk)), beta, 1, FORWARD))
+                parts.append(_Part(beta, 1, FORWARD, False, dip=True))
+            yield _Call(v, tuple(members), tuple(parts))
 
     # -- seed construction ---------------------------------------------------
-
-    def _new_token(self) -> int:
-        return next(self._token_counter)
 
     def _seeds(self):
         """Initial states: a designated start, a bottom structure, and at
@@ -245,94 +591,73 @@ class _Searcher:
 
         All members whose atom windows align with scan 1 must be present in
         the seed; anything touching only later positions joins through
-        start/end events during the search.  Structures are combined only
-        when their first-scan emissions match.
+        start/end events during the search.  A seed's calls are stamped in
+        the order extra, designated, bottom.
         """
-        tables = self._seed_tables()
+        # One-call extras: dives through the query atom and valleys.
+        single_extras = [s for s in map(_structure, self._dip_calls()) if s is not None]
+        single_extras += self._valleys.all
+        lead = [s for s in map(_structure, self._lead_calls()) if s is not None]
         for mode in self.modes:
-            for bottom in self._bottoms(mode):
-                yield from self._seed_combos(mode, bottom, tables)
-
-    def _seed_tables(self):
-        """Extra structures and designated options, bucketed by the atom
-        they emit at the first scan position.  Designated options differ
-        only between loose mode and the rest, so they are keyed by
-        ``mode == "loose"``."""
-        extra_buckets = {}
-        for x in self._extra_structures():
-            e = _entry_emission(x[0])
-            if e == "clash":
-                continue
-            extra_buckets.setdefault(e, []).append(x)
-        des_buckets = {}
-        for mode in ("bounded", "loose"):
-            buckets = {}
-            for d in self._designated_options(None, mode):
-                e = _entry_emission(d[0])
-                if e == "clash":
+            designated = lead if mode == "loose" else self._designated.all
+            for bottom, crosses in self._bottoms(mode):
+                if bottom is None:
                     continue
-                buckets.setdefault(e, []).append(d)
-            des_buckets[mode == "loose"] = buckets
-        return extra_buckets, des_buckets
+                for extra, des in self._seed_combos(
+                    mode, bottom, crosses, single_extras, designated
+                ):
+                    members, ex_recs, des_recs, bottom_recs = [], [], [], []
+                    ascent = des.calls[0].continues
+                    ob = None
+                    if extra is not None:
+                        ob = self._stamp(extra, 1, members, ex_recs, ob)
+                    if not ascent:
+                        ob = self._stamp(des, 1, members, des_recs, ob)
+                    ob = self._stamp(bottom, 1, members, bottom_recs, ob)
+                    if ascent:  # consumes the obligation the bottom opened
+                        ob = self._stamp(des, 1, members, des_recs, ob)
+                    yield members, des_recs + bottom_recs + ex_recs, ob, mode
 
-    def _seed_combos(self, mode, bottom, tables):
-        extra_buckets, des_buckets = tables
-        des_buckets = des_buckets[mode == "loose"]
-        allow_extra = not bottom[3]
-        want = _entry_emission(bottom[0])
-        if want == "clash":
-            return
-        obligation0 = bottom[2]
-        if obligation0 is not None and obligation0.enter_scan == 1:
-            des_options = list(self._designated_options(obligation0, mode))
+    def _seed_combos(self, mode, bottom, crosses, single_extras, designated):
+        """(extra, designated) structures that form a state with the bottom.
+
+        At most one extra joins: a one-call extra or a beginner-ender pair.
+        An obligation the bottom opens at scan 1 must be consumed there: its
+        ascent is then the only designated option.  Candidates are taken in
+        seed order (``_seed_order``).
+        """
+        want = bottom.emission
+        turn = next((c for c in bottom.calls if c.ascent is not None), None)
+        if turn is not None and turn.ascent_after == 0:
+            if mode == "loose":
+                return  # the lead call must own the first designated piece
+            options = [_ascent(turn.view, turn.ascent)]
         else:
-            des_options = None
-        if not allow_extra:
-            extra_list = [None]
-        elif want is None:
-            extra_list = [None] + [x for xs in extra_buckets.values() for x in xs]
-        else:
-            extra_list = [None] + extra_buckets.get(want, []) + extra_buckets.get(None, [])
+            options = _seed_order(designated, want)
+        extra_list = [None]
+        if not crosses:
+            extra_list += _seed_order(single_extras + self._pairs(want), want)
         for extra in extra_list:
-            obligation = obligation0
-            if extra is not None and extra[2] is not None:
-                if obligation is not None:
-                    continue
-                obligation = extra[2]
-            if des_options is not None:
-                candidates = des_options
-            elif want is None:
-                candidates = [d for ds in des_buckets.values() for d in ds]
-            else:
-                candidates = des_buckets.get(want, []) + des_buckets.get(None, [])
-            for des in candidates:
-                d_members, d_recs, d_obligation = des
-                if des_options is not None:
-                    e = _entry_emission(d_members)
-                    if e == "clash" or (want is not None and e is not None and e != want):
-                        continue
-                members = list(d_members) + list(bottom[0])
-                recs = list(d_recs) + list(bottom[1])
-                if extra is not None:
-                    members += list(extra[0])
-                    recs += list(extra[1])
-                ob = d_obligation if d_obligation is not None else obligation
-                yield members, recs, ob, mode
+            if extra is not None and extra.opens and bottom.opens:
+                continue  # at most one pending obligation
+            for des in options:
+                parts = (des, bottom) if extra is None else (des, bottom, extra)
+                if _fits(parts):
+                    yield extra, des
 
-    def _trailing_bottom(self, view: SubFunction, drop: int):
+    @staticmethod
+    def _trailing_call(view: SubFunction, drop: int) -> _Call:
         """A final call descending straight to position 1, then the implicit
-        query atom; ``drop`` atoms at the end are excluded from the scan."""
+        query atom; the last ``drop`` atoms, at least one fewer than the
+        view has, are excluded from the scan."""
         sk = view.skeleton
         window = sk[: len(sk) - drop]
-        if not window:
-            return None
-        tok = self._new_token()
-        member = Member(view.key + (1, len(window)), window, len(window), BACKWARD, token=tok)
-        rec = _CallRec(tok, view, [_Part(window, 1, len(window), BACKWARD, False, trailing=True)])
-        return ([member], [rec], None, False)
+        m = Member(view.key + (1, len(window)), window, len(window), BACKWARD)
+        return _Call(view, (m,), (_Part(window, len(window), BACKWARD, False, trailing=True),))
 
     def _bottoms(self, mode):
-        """Final structures of one seed mode.
+        """Final structures of one seed mode, each with a flag marking
+        bottoms that already cross the query atom (no extra joins them).
 
         ``inverse`` bottoms descend to the query atom inside a final call
         whose skeleton runs one inverse query atom past it; ``to1`` bottoms
@@ -346,11 +671,11 @@ class _Searcher:
         elif mode == "inverse":
             for f in _past_query_views(self.closure, self.query):
                 if len(f) >= 3:
-                    yield self._trailing_bottom(f, 2)
+                    yield _structure(self._trailing_call(f, 2)), False
         elif mode == "to1":
             if any(len(f) == 2 for f in _past_query_views(self.closure, self.query)):
-                for members, recs, obligation in self._ender_structures(1):
-                    yield (members, recs, obligation, False)
+                for s in self._enders.all:
+                    yield s, False
 
     def _bounded_bottoms(self):
         """Final-call structures whose skeleton ends with the query atom."""
@@ -359,9 +684,7 @@ class _Searcher:
             sk = v.skeleton
             if len(sk) < 2 or sk[-1] != rel:
                 continue
-            bottom = self._trailing_bottom(v, 1)
-            if bottom:
-                yield bottom
+            yield _structure(self._trailing_call(v, 1)), False
             pivot = v.parent.pivot() if self.use_loops else None
             if pivot is not None and pivot + 1 <= len(sk) - 1:
                 # Turn usage: climb to the pivot, then descend to the
@@ -372,51 +695,36 @@ class _Searcher:
                 d_win = sk[pivot : len(sk) - 1]
                 if len(d_win) < len(a_win):
                     continue
-                tok = self._new_token()
-                m = Member(v.key + (pivot + 1, len(sk) - 1), d_win, len(d_win), BACKWARD, token=tok)
-                rec = _CallRec(tok, v, [_Part(d_win, 1, len(d_win), BACKWARD, False, trailing=True)])
-                ob = _Obligation(tok, v, a_win, 1 + len(d_win) - len(a_win))
-                yield ([m], [rec], ob, False)
+                m_d = Member(v.key + (pivot + 1, len(sk) - 1), d_win, len(d_win), BACKWARD)
+                descent = _Part(d_win, len(d_win), BACKWARD, False, trailing=True)
+                yield _structure(
+                    _Call(v, (m_d,), (descent,), ascent=a_win, ascent_after=len(d_win) - len(a_win))
+                ), False
                 idx0 = len(a_win) - len(d_win) + 1
-                tok2 = self._new_token()
-                m_a = Member(v.key + (1, pivot), a_win, idx0, FORWARD, token=tok2)
-                m_d = Member(v.key + (pivot + 1, len(sk) - 1), d_win, len(d_win), BACKWARD, token=tok2)
-                rec2 = _CallRec(
-                    tok2,
-                    v,
-                    [
-                        _Part(a_win, 1, idx0, FORWARD, False),
-                        _Part(d_win, 1, len(d_win), BACKWARD, False, trailing=True),
-                    ],
-                )
-                yield ([m_a, m_d], [rec2], None, False)
+                m_a = Member(v.key + (1, pivot), a_win, idx0, FORWARD)
+                yield _structure(
+                    _Call(v, (m_a, m_d), (_Part(a_win, idx0, FORWARD, False), descent))
+                ), False
 
     def _loose_bottoms(self):
         """Final structures for walks ending at position 1.
 
         Every ender structure at the first scan position ends the walk
         there; dive-through endings and dip-terminal calls also qualify.
-        The fourth slot marks bottoms that already cross the query atom.
         """
         rel = self.query.relation
-        for members, recs, obligation in self._ender_structures(1):
-            yield (members, recs, obligation, False)
+        for s in self._enders.all:
+            yield s, False
+        tails = list(self._tail_calls())
         for v in self.closure:
             sk = v.skeleton
             pivot = v.parent.pivot() if self.use_loops else None
             # Dive-through ending: this call finishes with the query atom
             # (walk touches 0) and a tail call climbs back to position 1.
             if len(sk) >= 2 and sk[-1] == rel:
-                for tail_members, tail_recs in self._tail_options():
-                    base = self._trailing_bottom(v, 1)
-                    if base is None:
-                        continue
-                    yield (
-                        base[0] + tail_members,
-                        base[1] + tail_recs,
-                        None,
-                        True,
-                    )
+                base = self._trailing_call(v, 1)
+                for tail in tails:
+                    yield _structure(base, tail), True
             # Dip-terminal: the final call dives through the query atom and
             # climbs straight back to position 1.
             if (
@@ -427,165 +735,10 @@ class _Searcher:
                 and sk[pivot - 1] == rel
             ):
                 alpha = sk[: pivot - 1]
-                tok3 = self._new_token()
-                m3 = Member(v.key + (1, pivot - 1), alpha, len(alpha), BACKWARD, token=tok3)
-                r3 = _CallRec(tok3, v, [_Part(alpha, 1, len(alpha), BACKWARD, False, dip=True)])
-                yield ([m3], [r3], None, True)
-
-    def _extra_structures(self):
-        """Structures whose walk stretches touch the first scanned position:
-        one-call valleys, two-call valley pairs, and dives through the query
-        atom.  At most one such extra joins a seed."""
-        out = [list(x) + [None] for x in self._dip_options()]
-        for members, recs in self._valley_structures(1):
-            out.append([members, recs, None])
-        for b_members, b_recs, b_ob in self._beginner_structures(1):
-            for e_members, e_recs, e_ob in self._ender_structures(1):
-                if b_ob is not None and e_ob is not None:
-                    continue
-                out.append(
-                    [
-                        b_members + e_members,
-                        b_recs + e_recs,
-                        b_ob if b_ob is not None else e_ob,
-                    ]
-                )
-        return out
-
-    def _tail_options(self):
-        """Calls entering at walk position 0 and ending the walk at 1."""
-        rel = self.query.relation
-        out = []
-        for v in self.closure:
-            sk = v.skeleton
-            if sk == (rel.invert(),):
-                tok = self._new_token()
-                rec = _CallRec(tok, v, [_Part((), 1, 0, FORWARD, False, tail=True)])
-                out.append(([], [rec]))
-            elif self.use_loops and len(sk) >= 3 and sk[0] == rel.invert():
-                pivot = v.parent.pivot()
-                if pivot is None or pivot < 2 or pivot >= len(sk):
-                    continue
-                a_win = sk[1:pivot]
-                d_win = sk[pivot:]
-                if not a_win or len(a_win) != len(d_win):
-                    continue
-                tok = self._new_token()
-                m1 = Member(v.key + (2, pivot), a_win, 1, FORWARD, token=tok)
-                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD, token=tok)
-                rec = _CallRec(
-                    tok,
-                    v,
-                    [
-                        _Part(a_win, 1, 1, FORWARD, False, tail=True),
-                        _Part(d_win, 1, len(a_win), BACKWARD, False, tail=True),
-                    ],
-                )
-                out.append(([m1, m2], [rec]))
-        return out
-
-    def _dip_options(self):
-        """Mid-walk calls diving through the query atom and climbing back."""
-        rel = self.query.relation
-        out = []
-        if not self.use_loops:
-            return out
-        for v in self.closure:
-            pivot = v.parent.pivot()
-            sk = v.skeleton
-            if pivot is None or pivot >= len(sk):
-                continue
-            if sk[pivot - 1] != rel:
-                continue
-            alpha = sk[: pivot - 1]
-            beta = sk[pivot + 1 :]
-            if not alpha and not beta:
-                continue  # pure dive-and-return: removable, never minimal
-            tok = self._new_token()
-            members = []
-            parts = []
-            if alpha:
-                members.append(Member(v.key + (1, pivot - 1), alpha, len(alpha), BACKWARD, token=tok))
-                parts.append(_Part(alpha, 1, len(alpha), BACKWARD, False, dip=True))
-            if beta:
-                members.append(Member(v.key + (pivot + 2, len(sk)), beta, 1, FORWARD, token=tok))
-                parts.append(_Part(beta, 1, 1, FORWARD, False, dip=True))
-            if not members:
-                continue
-            out.append((members, [_CallRec(tok, v, parts)]))
-        return out
-
-    def _designated_options(self, obligation, mode):
-        """First forward-path piece.  In loose mode the first call also
-        carries the leading query atom; in bounded mode any view (or a split
-        loop view) can open the path."""
-        if obligation is not None and obligation.enter_scan == 1:
-            if mode == "loose":
-                return  # the lead call must own the first designated piece
-            tok = obligation.token
-            m = Member(
-                obligation.view.key + (1, len(obligation.window)),
-                obligation.window,
-                1,
-                FORWARD,
-                designated=True,
-                token=tok,
-            )
-            rec = _CallRec(tok, obligation.view, [_Part(obligation.window, 1, 1, FORWARD, True)])
-            yield ([m], [rec], replace(obligation, enter_scan=-1))
-            return
-        if mode == "loose":
-            rel = self.query.relation
-            for v in self.closure:
-                sk = v.skeleton
-                if len(sk) < 2 or sk[0] != rel:
-                    continue
-                pivot = v.parent.pivot() if self.use_loops else None
-                tok = self._new_token()
-                if pivot is None or pivot < 2:
-                    window = sk[1:]
-                    m = Member(v.key + (2, len(sk)), window, 1, FORWARD, designated=True, token=tok)
-                    rec = _CallRec(tok, v, [_Part(window, 1, 1, FORWARD, True)])
-                    yield ([m], [rec], None)
-                else:
-                    a_win = sk[1:pivot]
-                    d_win = sk[pivot:]
-                    if a_win and len(d_win) <= len(a_win):
-                        m1 = Member(v.key + (2, pivot), a_win, 1, FORWARD, designated=True, token=tok)
-                        m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD, token=tok)
-                        rec = _CallRec(
-                            tok,
-                            v,
-                            [
-                                _Part(a_win, 1, 1, FORWARD, True),
-                                _Part(d_win, 1, len(a_win), BACKWARD, False),
-                            ],
-                        )
-                        yield ([m1, m2], [rec], None)
-            return
-        for v in self.closure:
-            sk = v.skeleton
-            tok = self._new_token()
-            m = Member(v.key + (1, len(sk)), sk, 1, FORWARD, designated=True, token=tok)
-            rec = _CallRec(tok, v, [_Part(sk, 1, 1, FORWARD, True)])
-            yield ([m], [rec], None)
-        for v, pivot in self._loops:
-            sk = v.skeleton
-            a_win = sk[:pivot]
-            d_win = sk[pivot:]
-            if len(d_win) <= len(a_win):
-                tok = self._new_token()
-                m1 = Member(v.key + (1, pivot), a_win, 1, FORWARD, designated=True, token=tok)
-                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD, token=tok)
-                rec = _CallRec(
-                    tok,
-                    v,
-                    [
-                        _Part(a_win, 1, 1, FORWARD, True),
-                        _Part(d_win, 1, len(a_win), BACKWARD, False),
-                    ],
-                )
-                yield ([m1, m2], [rec], None)
+                m = Member(v.key + (1, pivot - 1), alpha, len(alpha), BACKWARD)
+                yield _structure(
+                    _Call(v, (m,), (_Part(alpha, len(alpha), BACKWARD, False, dip=True),))
+                ), True
 
     # -- the depth-first search ------------------------------------------------
 
@@ -655,227 +808,69 @@ class _Searcher:
                 return
             if designated_ended and (begins or ends_n):
                 return
-            # Need-carrying additions per case; a one-call valley crossing
-            # the next position carries no need and may join any of them.
-            # New members must emit the next state's atom, so structures
-            # with a different first emission are pruned up front.
-            current = next(
-                (m.emission() for m in advanced if m.emission() is not None), None
-            )
-            if designated_ended:
-                base_options = list(self._designated_additions(scan + 1, obligation))
-            elif begins == 1 and ends_n == 1:
-                base_options = [None]
-            elif begins == 1:
-                base_options = list(self._ender_structures(scan + 1, current))
-            elif ends_n == 1:
-                base_options = list(self._beginner_structures(scan + 1, current))
-            else:
-                base_options = [None]
-                for b_members, b_recs, b_ob in self._beginner_structures(scan + 1, current):
-                    for e_members, e_recs, e_ob in self._ender_structures(scan + 1, current):
-                        if b_ob is not None and e_ob is not None:
-                            continue
-                        base_options.append(
-                            (
-                                b_members + e_members,
-                                b_recs + e_recs,
-                                b_ob if b_ob is not None else e_ob,
-                            )
-                        )
-            valley_options = [None] + list(self._valley_structures(scan + 1, current))
-            for base in base_options:
-                for valley in valley_options:
-                    members = list(base[0]) if base else []
-                    add_recs = list(base[1]) if base else []
-                    new_ob = base[2] if base else None
-                    if valley is not None:
-                        members += valley[0]
-                        add_recs += valley[1]
-                    if not members and valley is None:
-                        if base is None:
-                            self._search(advanced, scan + 1, recs, obligation, mode, stack)
-                        continue
-                    self._try(
-                        advanced, members, add_recs, scan, recs, obligation, mode, stack, new_ob
-                    )
+            self._expand(advanced, scan + 1, recs, obligation, mode, stack, designated_ended, begins, ends_n)
         finally:
             if not self.single:
                 stack.pop()
 
-    def _try(
-        self,
-        advanced,
-        add_members,
-        add_recs,
-        scan,
-        recs,
-        obligation,
-        mode,
-        stack,
-        new_obligation=None,
-    ):
-        if new_obligation is not None:
-            if new_obligation.enter_scan < 0:
-                obligation = new_obligation  # pending obligation consumed
-            else:
-                if obligation is not None and obligation.enter_scan >= 0:
-                    return  # at most one pending final-designated obligation
-                obligation = new_obligation
-        new_members = advanced | frozenset(add_members)
-        if len(new_members) != len(advanced) + len(add_members):
+    def _expand(self, advanced, entry, recs, obligation, mode, stack, designated_ended, begins, ends_n):
+        """Search every child of a state: the advanced members plus the
+        structure its needs call for and at most one valley crossing the
+        entry position, which carries no need."""
+        current = _common_emission(advanced)
+        moves_alone = not designated_ended and begins == ends_n
+        if current is _CLASH:
+            # Nothing can join inconsistent members; they only move on.
+            if moves_alone:
+                self._search(advanced, entry, recs, obligation, mode, stack)
             return
-        if not state_consistent(new_members):
-            return
-        if sum(1 for m in new_members if m.designated) != 1:
-            return
-        self._search(new_members, scan + 1, recs + add_recs, obligation, mode, stack)
-
-    def _ender_structures(self, entry, target=None):
-        """New members whose walk stretch ends at the entry position."""
-        def ok(members):
-            e = _entry_emission(members)
-            return e != "clash" and (target is None or e is None or e == target)
-
-        for v in self.closure:
-            sk = v.skeleton
-            tok = self._new_token()
-            m = Member(v.key + (1, len(sk)), sk, len(sk), BACKWARD, token=tok)
-            if not ok([m]):
+        # Joining members must emit the next state's atom, so the tables
+        # give only structures emitting it (or nothing) at entry.
+        if designated_ended:
+            bases = self._designated.matching(current)
+            if obligation is not None and obligation.enter_scan == entry:
+                due = _ascent(obligation.view, obligation.window)
+                if _compatible(due.emission, current):
+                    bases = [due] + bases
+        elif begins and ends_n:
+            bases = ()
+        elif begins:
+            bases = self._enders.matching(current)
+        elif ends_n:
+            bases = self._beginners.matching(current)
+        else:
+            bases = self._pairs(current)
+        valleys = [
+            v for v in self._valleys.matching(current) if advanced.isdisjoint(v.member_set)
+        ]
+        need = 1 - sum(1 for m in advanced if m.designated)
+        pending = obligation is not None and obligation.enter_scan >= 0
+        if moves_alone:
+            self._search(advanced, entry, recs, obligation, mode, stack)
+            if need == 0:
+                for valley in valleys:
+                    self._join(advanced, entry, recs, obligation, mode, stack, (valley,))
+        for base in bases:
+            if (
+                base.designated != need
+                or (base.opens and pending)
+                or not advanced.isdisjoint(base.member_set)
+            ):
                 continue
-            rec = _CallRec(tok, v, [_Part(sk, entry, len(sk), BACKWARD, False)])
-            yield [m], [rec], None
-        for v, pivot in self._loops:
-            sk = v.skeleton
-            a_win = sk[:pivot]
-            d_win = sk[pivot:]
-            idx0 = len(a_win) - len(d_win) + 1
-            if idx0 <= 1:
-                # Peak call descending into this position; its ascending half
-                # is pending until the scan reaches its window.
-                tok = self._new_token()
-                m1 = Member(v.key + (1, pivot), a_win, idx0, FORWARD, token=tok)
-                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(d_win), BACKWARD, token=tok)
-                if ok([m1, m2]):
-                    rec = _CallRec(
-                        tok,
-                        v,
-                        [
-                            _Part(a_win, entry, idx0, FORWARD, False),
-                            _Part(d_win, entry, len(d_win), BACKWARD, False),
-                        ],
-                    )
-                    yield [m1, m2], [rec], None
-            if len(d_win) > len(a_win):
-                # Turn call whose descent enters first; the ascent joins
-                # later as the final designated piece.
-                tok = self._new_token()
-                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(d_win), BACKWARD, token=tok)
-                if ok([m2]):
-                    rec = _CallRec(tok, v, [_Part(d_win, entry, len(d_win), BACKWARD, False)])
-                    yield [m2], [rec], _Obligation(tok, v, a_win, entry + len(d_win) - len(a_win))
+            self._join(advanced, entry, recs, obligation, mode, stack, (base,))
+            for valley in valleys:
+                if base.member_set.isdisjoint(valley.member_set) and _compatible(
+                    base.emission, valley.emission
+                ):
+                    self._join(advanced, entry, recs, obligation, mode, stack, (base, valley))
 
-    def _beginner_structures(self, entry, target=None):
-        """New members whose walk stretch begins at the entry position."""
-        def ok(members):
-            e = _entry_emission(members)
-            return e != "clash" and (target is None or e is None or e == target)
-
-        for v in self.closure:
-            sk = v.skeleton
-            tok = self._new_token()
-            m = Member(v.key + (1, len(sk)), sk, 1, FORWARD, token=tok)
-            if not ok([m]):
-                continue
-            rec = _CallRec(tok, v, [_Part(sk, entry, 1, FORWARD, False)])
-            yield [m], [rec], None
-        for v, pivot in self._loops:
-            # Peak call climbing from this position; its descending half
-            # idles until the scan reaches its window.
-            sk = v.skeleton
-            a_win = sk[:pivot]
-            d_win = sk[pivot:]
-            if len(d_win) > len(a_win):
-                continue
-            tok = self._new_token()
-            m1 = Member(v.key + (1, pivot), a_win, 1, FORWARD, token=tok)
-            m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD, token=tok)
-            if not ok([m1, m2]):
-                continue
-            rec = _CallRec(
-                tok,
-                v,
-                [
-                    _Part(a_win, entry, 1, FORWARD, False),
-                    _Part(d_win, entry, len(a_win), BACKWARD, False),
-                ],
-            )
-            yield [m1, m2], [rec], None
-
-    def _valley_structures(self, entry, target=None):
-        """Single calls descending into and climbing out of this position."""
-        for v, pivot in self._loops:
-            sk = v.skeleton
-            pre = sk[:pivot]
-            post = sk[pivot:]
-            tok = self._new_token()
-            m1 = Member(v.key + (1, pivot), pre, pivot, BACKWARD, token=tok)
-            m2 = Member(v.key + (pivot + 1, len(sk)), post, 1, FORWARD, token=tok)
-            e = _entry_emission([m1, m2])
-            if e == "clash" or (target is not None and e is not None and e != target):
-                continue
-            rec = _CallRec(
-                tok,
-                v,
-                [
-                    _Part(pre, entry, pivot, BACKWARD, False),
-                    _Part(post, entry, 1, FORWARD, False),
-                ],
-            )
-            yield [m1, m2], [rec]
-
-    def _designated_additions(self, entry, obligation):
-        if obligation is not None and obligation.enter_scan == entry:
-            m = Member(
-                obligation.view.key + (1, len(obligation.window)),
-                obligation.window,
-                1,
-                FORWARD,
-                designated=True,
-                token=obligation.token,
-            )
-            rec = _CallRec(
-                obligation.token,
-                obligation.view,
-                [_Part(obligation.window, entry, 1, FORWARD, True)],
-            )
-            yield [m], [rec], replace(obligation, enter_scan=-1)
-        for v in self.closure:
-            sk = v.skeleton
-            tok = self._new_token()
-            m = Member(v.key + (1, len(sk)), sk, 1, FORWARD, designated=True, token=tok)
-            rec = _CallRec(tok, v, [_Part(sk, entry, 1, FORWARD, True)])
-            yield [m], [rec], None
-        for v, pivot in self._loops:
-            # Turn call: the forward path's last piece plus the walk's first
-            # descent belong to one call crossing the top.
-            sk = v.skeleton
-            a_win = sk[:pivot]
-            d_win = sk[pivot:]
-            if len(d_win) > len(a_win):
-                continue
-            tok = self._new_token()
-            m1 = Member(v.key + (1, pivot), a_win, 1, FORWARD, designated=True, token=tok)
-            m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD, token=tok)
-            rec = _CallRec(
-                tok,
-                v,
-                [
-                    _Part(a_win, entry, 1, FORWARD, True),
-                    _Part(d_win, entry, len(a_win), BACKWARD, False),
-                ],
-            )
-            yield [m1, m2], [rec], None
+    def _join(self, advanced, entry, recs, obligation, mode, stack, structures):
+        """Stamp checked structures and search the state they form."""
+        members = []
+        recs = list(recs)
+        for s in structures:
+            obligation = self._stamp(s, entry, members, recs, obligation)
+        self._search(advanced.union(members), entry, recs, obligation, mode, stack)
 
     # -- plan assembly -----------------------------------------------------------
 
@@ -891,26 +886,21 @@ class _Searcher:
             raise _StopSearch
 
     def _assemble(self, recs: List[_CallRec], mode: str) -> Optional[tuple]:
-        by_token = {}
-        order = []
+        calls = {}  # token -> (view, [(entry, part), ...]), in first-record order
         for rec in recs:
-            if rec.token in by_token:
-                by_token[rec.token].parts.extend(rec.parts)
-            else:
-                by_token[rec.token] = _CallRec(rec.token, rec.view, list(rec.parts))
-                order.append(rec.token)
+            pieces = calls.setdefault(rec.token, (rec.view, []))[1]
+            pieces.extend((rec.entry, p) for p in rec.parts)
         m = 0
         group_a = []
         walk = {}
-        for tok in order:
-            rec = by_token[tok]
-            des_parts = [p for p in rec.parts if p.designated]
-            walk_parts = [p for p in rec.parts if not p.designated]
+        for tok, (view, pieces) in calls.items():
+            des_parts = [p for _, p in pieces if p.designated]
+            walk_pieces = [(e, p) for e, p in pieces if not p.designated]
             if des_parts:
                 m += sum(len(p.window) for p in des_parts)
                 group_a.append(tok)
-            if walk_parts:
-                stretch = self._stretch(walk_parts)
+            if walk_pieces:
+                stretch = self._stretch(walk_pieces)
                 if stretch is None:
                     return None
                 walk[tok] = stretch
@@ -918,10 +908,10 @@ class _Searcher:
         if chain is None:
             return None
         seen = set(group_a)
-        ordered = [by_token[tok].view for tok in group_a]
+        ordered = [calls[tok][0] for tok in group_a]
         for tok in chain:
             if tok not in seen:
-                ordered.append(by_token[tok].view)
+                ordered.append(calls[tok][0])
                 seen.add(tok)
         return tuple(ordered)
 
@@ -951,26 +941,25 @@ class _Searcher:
         return go(start, frozenset(tokens))
 
     @staticmethod
-    def _stretch(parts: List[_Part]) -> Optional[tuple]:
-        if any(p.tail for p in parts):
+    def _stretch(pieces: list) -> Optional[tuple]:
+        """Walk positions spanned by one call's ``(entry, part)`` pieces."""
+        if any(p.tail for _, p in pieces):
             return (0, 1)
-        if any(p.dip for p in parts):
-            alpha = next((p for p in parts if not p.forward), None)
-            beta = next((p for p in parts if p.forward), None)
-            if alpha is not None and alpha.entry != 1:
+        fwd = [(e, p) for e, p in pieces if p.forward]
+        bwd = [(e, p) for e, p in pieces if not p.forward]
+        if any(p.dip for _, p in pieces):
+            if bwd and bwd[0][0] != 1:
                 return None
-            start = 1 + (len(alpha.window) if alpha else 0)
-            end = 1 + (len(beta.window) if beta else 0)
+            start = 1 + (len(bwd[0][1].window) if bwd else 0)
+            end = 1 + (len(fwd[0][1].window) if fwd else 0)
             return (start, end)
-        fwd = [p for p in parts if p.forward]
-        bwd = [p for p in parts if not p.forward]
         if len(fwd) > 1 or len(bwd) > 1 or (not fwd and not bwd):
             return None
         if fwd and bwd:
-            f, b = fwd[0], bwd[0]
-            f_start = f.entry + 1 - f.idx0
+            (f_entry, f), (b_entry, b) = fwd[0], bwd[0]
+            f_start = f_entry + 1 - f.idx0
             f_end = f_start + len(f.window)
-            b_start = b.entry + b.idx0
+            b_start = b_entry + b.idx0
             b_end = b_start - len(b.window)
             if b.trailing:
                 if b_end != 1:
@@ -982,16 +971,16 @@ class _Searcher:
                 return (f_start, b_end)
             return None
         if bwd:
-            b = bwd[0]
-            start = b.entry + b.idx0
+            b_entry, b = bwd[0]
+            start = b_entry + b.idx0
             end = start - len(b.window)
             if b.trailing:
                 if end != 1:
                     return None
                 end = 0
             return (start, end)
-        f = fwd[0]
-        start = f.entry + 1 - f.idx0
+        f_entry, f = fwd[0]
+        start = f_entry + 1 - f.idx0
         return (start, start + len(f.window))
 
 
@@ -1397,8 +1386,8 @@ def enumerate_minimal_smart(
             return
         try:
             plan = builder(tuple(views))
-        except Exception:
-            return
+        except ModelError:
+            return  # the final call cannot bind the filtered variable
         if is_smart(plan, query).level != SMART:
             return
         candidates[key] = SmartHit(plan, tuple(views), kind)

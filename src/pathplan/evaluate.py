@@ -279,7 +279,9 @@ def _instance_family(
     """Canonical database, its subsets, a capped exhaustive layer, and a
     random layer.  Deterministic for fixed inputs.  Yields (instance,
     truncated) pairs; truncated marks the point where the exhaustive layer
-    was cut off by the cap."""
+    was cut off by the cap.  ``max_instances`` caps only the exhaustive
+    layer: all 2^|facts| - 2 proper non-empty subsets of the canonical
+    database are always yielded."""
     sem = plan_semantics(strip_filters(plan))
     canonical = canonical_weak_database(sem, query)
     yield canonical, False
@@ -318,6 +320,11 @@ def oracle_is_weakly_smart(
     and the plan delivers no query answer at all.  (Bounded cores deliver
     every answer; loose cores are guaranteed at least one, which is the
     operative guarantee the characterization captures.)
+
+    ``max_instances`` caps only the exhaustive layer.  The canonical
+    database and all 2^|facts| - 2 of its proper non-empty subsets are
+    always checked, so ``instances_checked`` can exceed the cap; the report
+    is marked incomplete only when the exhaustive layer was cut.
     """
     unfiltered = strip_filters(plan)
     checked = 0
@@ -344,7 +351,13 @@ def oracle_is_smart(
     mode: str = OPTIONAL_EDGE,
 ) -> OracleReport:
     """Refute smartness: some instance where the filter-free plan has results
-    but the plan's answers differ from the query's."""
+    but the plan's answers differ from the query's.
+
+    ``max_instances`` caps only the exhaustive layer.  The canonical
+    database and all 2^|facts| - 2 of its proper non-empty subsets are
+    always checked, so ``instances_checked`` can exceed the cap; the report
+    is marked incomplete only when the exhaustive layer was cut.
+    """
     unfiltered = strip_filters(plan)
     checked = 0
     truncated = False

@@ -324,3 +324,33 @@ def test_smart_existence_matches_enumeration():
             for inv in (False, True):
                 q = AtomicQuery(Atom(base, inv), "a")
                 assert bool(enumerate_minimal_smart(q, cat)) == smart_plan_exists(q, cat), (t, q)
+
+
+def _oriented_queries(cat):
+    from pathplan.synth import vocabulary
+
+    return [AtomicQuery(Atom(base, inv), "a") for base in vocabulary(cat) for inv in (False, True)]
+
+
+def test_weak_plan_calls_one_view_twice():
+    # One candidate template joins the path twice and must become two calls
+    # with two tokens.
+    q = AtomicQuery(Atom("r2"), "a")
+    hits = enumerate_minimal_weakly_smart(q, gen_catalog(SynthConfig(2, 6, 3, seed=20183)))
+    assert [tuple(v.name for v in h.views) for h in hits] == [("f5", "f5", "f6")]
+
+
+def test_find_one_state_counts_pinned():
+    # Summed over every oriented query: building the candidate structures
+    # differently must not change which states the search visits.
+    def visited(catalogs):
+        return sum(
+            find_one_weakly_smart(q, cat).states_visited
+            for cat in catalogs
+            for q in _oriented_queries(cat)
+        )
+
+    item1 = [_differential_catalog(t) for t in range(250, 300)]
+    assert sum(len(_oriented_queries(cat)) for cat in item1) == 288
+    assert visited(item1) == 614
+    assert visited(gen_catalog(SynthConfig(4, 30, 3, seed=s)) for s in range(4)) == 853

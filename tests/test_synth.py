@@ -1,4 +1,7 @@
+import pytest
+
 from pathplan import Atom, AtomicQuery, gen_catalog, SynthConfig
+from pathplan import synth
 from pathplan.synth import (
     answered_fractions,
     smart_plan_exists,
@@ -104,3 +107,14 @@ def test_sweep_csv_header():
     text = sweep_csv(result)
     assert text.splitlines()[0] == "axisValue,approach,fractionAnswered,medianMs,p95Ms"
     assert len(text.splitlines()) == 5
+
+
+def test_answered_fractions_propagates_errors(monkeypatch):
+    # Only a bug can raise here (a deadline ends the search quietly), so it
+    # must not be booked as a timeout.
+    def broken(*args, **kwargs):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(synth, "smart_plan_exists", broken)
+    with pytest.raises(ValueError):
+        answered_fractions(fig1_catalog())
