@@ -61,7 +61,6 @@ from .evaluate import (
     Instance,
     call_function,
     canonical_weak_database,
-    eval_path_query,
     eval_plan,
     oracle_is_smart,
     oracle_is_weakly_smart,

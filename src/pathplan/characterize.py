@@ -10,6 +10,9 @@ path, with one equality filter pinned next to the output inside a query
 atom.  The walk decompositions here also describe plan shapes (the "loose"
 variant lets the query relation open the skeleton and the walk stop one
 position short).
+
+The canonical database is itself a line of oriented atoms, so both
+decisions are walks along a line, computed by one kernel, ``_walk``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .model import (
     plan_semantics,
     reduce_plan,
     strip_filters,
+    sub_function_transformation,
 )
 
 FORWARD = "forward"
@@ -78,7 +82,48 @@ class BoundedDecomposition:
 class Verdict:
     level: str
     decomposition: Optional[BoundedDecomposition] = None
-    witness: object = None
+
+
+def _walk(line: tuple, word: tuple, start: int, ends, pins: dict):
+    """First walk along ``line`` from ``start`` emitting ``word``, as steps.
+
+    Position p sits before line atom p: a forward step at p emits line[p]
+    and moves to p+1; a backward step at p emits the inverse of line[p-1]
+    and moves to p-1.  The walk must end at a position in ``ends``, and
+    ``pins`` maps an inner boundary i of the word (the walk's position
+    after i < len(word) steps) to the positions allowed there.  Backward
+    steps are tried before forward ones, depth-first, and a failed
+    (position, boundary) pair is never explored twice, so the first walk
+    found is deterministic.  Returns None when no walk exists.
+    """
+    n = len(line)
+    m = len(word)
+    # Positions a pin excludes start out dead, so unpinned walks pay nothing.
+    dead = set()
+    for i, allowed in pins.items():
+        dead.update((pos, i) for pos in range(n + 1) if pos not in allowed)
+
+    def go(pos: int, i: int):
+        if i == m:
+            return [] if pos in ends else None
+        if (pos, i) in dead:
+            return None
+        atom = word[i]
+        if pos >= 1:
+            prev = line[pos - 1]
+            # prev.invert() == atom, without building the inverted atom.
+            if prev.base == atom.base and prev.inverse != atom.inverse:
+                rest = go(pos - 1, i + 1)
+                if rest is not None:
+                    return [Step(BACKWARD, atom, pos, pos - 1)] + rest
+        if pos <= n - 1 and line[pos] == atom:
+            rest = go(pos + 1, i + 1)
+            if rest is not None:
+                return [Step(FORWARD, atom, pos, pos + 1)] + rest
+        dead.add((pos, i))
+        return None
+
+    return go(start, 0)
 
 
 def find_walk(base: Sequence[Atom], candidate: Sequence[Atom], target: int):
@@ -90,27 +135,7 @@ def find_walk(base: Sequence[Atom], candidate: Sequence[Atom], target: int):
     """
     base = tuple(base)
     candidate = tuple(candidate)
-    n = len(base)
-    dead = set()
-
-    def go(pos: int, i: int):
-        if i == len(candidate):
-            return [] if pos == target else None
-        if (pos, i) in dead:
-            return None
-        atom = candidate[i]
-        if pos >= 1 and base[pos - 1].invert() == atom:
-            rest = go(pos - 1, i + 1)
-            if rest is not None:
-                return [Step(BACKWARD, atom, pos, pos - 1)] + rest
-        if pos <= n - 1 and base[pos] == atom:
-            rest = go(pos + 1, i + 1)
-            if rest is not None:
-                return [Step(FORWARD, atom, pos, pos + 1)] + rest
-        dead.add((pos, i))
-        return None
-
-    steps = go(n, 0)
+    steps = _walk(base, candidate, len(base), (target,), {})
     if steps is None:
         return None
     return WalkDecomposition(base, tuple(steps), target)
@@ -153,20 +178,30 @@ def is_loosely_bounded(skeleton: Sequence[Atom], query: AtomicQuery):
 
 
 def weakly_smart_semantics(sem: PathSemantics, query: AtomicQuery) -> bool:
-    """Decide weak smartness of a filter-free semantics by evaluating it on
-    its canonical database.
+    """Decide weak smartness of a semantics by evaluating it on its
+    canonical database.
 
-    The canonical path instance (one query fact plus the skeleton laid over
-    fresh constants) is the completeness proofs' refutation witness, and an
-    answer delivered there replays on every instance where the query and
-    the filter-free plan both succeed.  This refines the pure walk check:
-    a walk may cross the query position in ways no instance supports.
+    The canonical database (one query fact plus the skeleton laid over
+    fresh constants from the query constant) is the completeness proofs'
+    refutation witness, and an answer delivered there replays on every
+    instance where the query and the filter-free plan both succeed.  It is
+    the line ``rel^-`` + skeleton with the query constant at position 1,
+    so evaluating the semantics there is a walk along that line from
+    position 1.  A filter on the query constant pins its boundary to
+    position 1; no other constant names a node of the line.  The output
+    boundary is pinned to the query's answers: position 0, and position 2
+    when the skeleton opens with the query atom.
     """
-    from .evaluate import canonical_weak_database, eval_semantics, query_answers
-
-    instance = canonical_weak_database(sem, query)
-    delivered = eval_semantics(sem, query.constant, instance)
-    return bool(delivered & query_answers(query, instance))
+    fmap = sem.filter_map()
+    if any(const != query.constant for const in fmap.values()):
+        return False
+    pins = dict.fromkeys(fmap, (1,))
+    answers = (0, 2) if sem.skeleton[:1] == (query.relation,) else (0,)
+    pins[sem.output] = tuple(p for p in answers if p in pins.get(sem.output, answers))
+    m = len(sem.skeleton)
+    line = (query.relation.invert(),) + sem.skeleton
+    ends = pins.pop(m, range(m + 2))
+    return _walk(line, sem.skeleton, 1, ends, pins) is not None
 
 
 def weakly_smart_skeleton(skeleton: Sequence[Atom], query: AtomicQuery) -> bool:
@@ -181,8 +216,6 @@ def is_weakly_smart(plan: ExecutionPlan, query: AtomicQuery) -> bool:
     own skeleton: filters survive there exactly when they sit on boundaries
     pinned to the input constant, which is what holds on every instance.
     """
-    from .model import reduce_plan, sub_function_transformation
-
     kept = sub_function_transformation(reduce_plan(plan))
     return weakly_smart_semantics(plan_semantics(kept), query)
 
@@ -252,16 +285,12 @@ def _filter_is_safe(sem: PathSemantics, query: AtomicQuery, pos: int) -> bool:
 def smart_shape(plan: ExecutionPlan, query: AtomicQuery) -> bool:
     """Syntactic smartness test for a chained plan with its own filters."""
     sem = plan_semantics(plan)
-    fmap = sem.filter_map()
-    if any(const != query.constant for const in fmap.values()):
+    if not _well_filtering_sem(sem, query):
         return False
-    if not all(_filter_is_safe(sem, query, p) for p in fmap):
-        return False
-    if not _has_query_atom_at_output(sem, query):
+    if not all(_filter_is_safe(sem, query, p) for p in sem.filter_positions):
         return False
     core = plan_semantics(constraint_free_core(plan))
-    dec = is_bounded(core.skeleton, query)
-    return dec is not None
+    return is_bounded(core.skeleton, query) is not None
 
 
 def is_smart(plan: ExecutionPlan, query: AtomicQuery) -> Verdict:

@@ -25,8 +25,6 @@ from .model import (
     MultiPivotError,
     PathFunction,
     SubFunction,
-    plan_semantics,
-    skeleton_text,
 )
 from .evaluate import Fact, Instance
 
@@ -275,27 +273,3 @@ def parse_plan(text: str, catalog: Sequence[PathFunction]) -> ExecutionPlan:
     if output is None:
         raise ParseError("plan has no output line")
     return ExecutionPlan(tuple(calls), tuple(filters), output)
-
-
-def plan_record(plan: ExecutionPlan, metadata: Optional[dict] = None) -> dict:
-    """Machine-readable plan form; semantics included when derivable."""
-    record = {
-        "calls": [
-            {
-                "function": call.view.parent.name,
-                "prefix": call.view.prefix,
-                "input": call.source,
-                "bind": list(call.bind),
-                "outputs": list(call.outputs),
-            }
-            for call in plan.calls
-        ],
-        "filters": [list(f) for f in plan.filters],
-        "output": plan.output,
-        "verdictMetadata": metadata or {},
-    }
-    try:
-        record["skeleton"] = skeleton_text(plan_semantics(plan).skeleton)
-    except Exception:
-        record["skeleton"] = None
-    return record

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from .characterize import is_bounded, is_loosely_bounded, weakly_smart_skeleton
+from .characterize import is_bounded, weakly_smart_skeleton
 from .model import (
     AtomicQuery,
     ExecutionPlan,
@@ -348,7 +348,6 @@ class _Searcher:
         max_plans: int = 10000,
         deadline: Optional[float] = None,
         single: bool = False,
-        use_loops: bool = True,
         emit_gate: Optional[Callable] = None,
         prune_dominated: bool = False,
     ):
@@ -368,18 +367,16 @@ class _Searcher:
         self.max_plans = max_plans
         self.deadline = deadline
         self.single = single
-        self.use_loops = use_loops
         self.emit_gate = emit_gate
         self.visited = set()
         self.stats = _SearchStats()
         self.results: List[tuple] = []
         self._token_counter = itertools.count()
         self._loops = []
-        if use_loops:
-            for v in self.closure:
-                p = v.parent.pivot()
-                if p is not None and p < len(v):
-                    self._loops.append((v, p))
+        for v in self.closure:
+            p = v.parent.pivot()
+            if p is not None and p < len(v):
+                self._loops.append((v, p))
         self._enders = _Table(_structure(c) for c in self._ender_calls())
         self._beginners = _Table(_structure(c) for c in self._beginner_calls())
         self._valleys = _Table(_structure(c) for c in self._valley_calls())
@@ -517,7 +514,7 @@ class _Searcher:
             sk = v.skeleton
             if len(sk) < 2 or sk[0] != rel:
                 continue
-            pivot = v.parent.pivot() if self.use_loops else None
+            pivot = v.parent.pivot()
             if pivot is None or pivot < 2:
                 window = sk[1:]
                 m = Member(v.key + (2, len(sk)), window, 1, FORWARD, designated=True)
@@ -541,7 +538,7 @@ class _Searcher:
             sk = v.skeleton
             if sk == (rel.invert(),):
                 yield _Call(v, (), (_Part((), 0, FORWARD, False, tail=True),))
-            elif self.use_loops and len(sk) >= 3 and sk[0] == rel.invert():
+            elif len(sk) >= 3 and sk[0] == rel.invert():
                 pivot = v.parent.pivot()
                 if pivot is None or pivot < 2 or pivot >= len(sk):
                     continue
@@ -559,8 +556,6 @@ class _Searcher:
 
     def _dip_calls(self):
         """Mid-walk calls diving through the query atom and climbing back."""
-        if not self.use_loops:
-            return
         rel = self.query.relation
         for v in self.closure:
             pivot = v.parent.pivot()
@@ -685,7 +680,7 @@ class _Searcher:
             if len(sk) < 2 or sk[-1] != rel:
                 continue
             yield _structure(self._trailing_call(v, 1)), False
-            pivot = v.parent.pivot() if self.use_loops else None
+            pivot = v.parent.pivot()
             if pivot is not None and pivot + 1 <= len(sk) - 1:
                 # Turn usage: climb to the pivot, then descend to the
                 # implicit query atom.  The climb is either the forward
@@ -718,7 +713,7 @@ class _Searcher:
         tails = list(self._tail_calls())
         for v in self.closure:
             sk = v.skeleton
-            pivot = v.parent.pivot() if self.use_loops else None
+            pivot = v.parent.pivot()
             # Dive-through ending: this call finishes with the query atom
             # (walk touches 0) and a tail call climbs back to position 1.
             if len(sk) >= 2 and sk[-1] == rel:
@@ -728,8 +723,7 @@ class _Searcher:
             # Dip-terminal: the final call dives through the query atom and
             # climbs straight back to position 1.
             if (
-                self.use_loops
-                and pivot is not None
+                pivot is not None
                 and pivot + 1 == len(sk)
                 and pivot >= 2
                 and sk[pivot - 1] == rel
@@ -1005,13 +999,6 @@ def _concat_skeleton(views: Sequence[SubFunction]) -> tuple:
     return tuple(a for v in views for a in v.skeleton)
 
 
-def _loose_gate(query: AtomicQuery):
-    def gate(views):
-        return weakly_smart_skeleton(_concat_skeleton(views), query)
-
-    return gate
-
-
 def _subsequence_is_weak(views: Sequence[SubFunction], query: AtomicQuery) -> bool:
     return weakly_smart_skeleton(_concat_skeleton(views), query)
 
@@ -1078,7 +1065,6 @@ def enumerate_minimal_weakly_smart(
     max_plans: int = 10000,
     max_depth: int = 64,
     deadline: Optional[float] = None,
-    use_loops: bool = True,
 ) -> List[PlanHit]:
     """All minimal weakly smart plans, deduplicated and sorted.
 
@@ -1095,35 +1081,22 @@ def enumerate_minimal_weakly_smart(
         max_depth=max_depth,
         max_plans=max_plans,
         deadline=deadline,
-        use_loops=use_loops,
-        emit_gate=_loose_gate(query),
+        emit_gate=lambda views: _subsequence_is_weak(views, query),
         prune_dominated=True,
     )
     searcher.run()
     raw.extend(views for views, _ in searcher.results)
-    hits = {}
-    for views in raw:
-        key = tuple(v.key for v in views)
-        if key in hits:
-            continue
-        skeleton = _concat_skeleton(views)
-        if not weakly_smart_skeleton(skeleton, query):
-            continue
-        dec = is_loosely_bounded(skeleton, query)
-        hits[key] = (views, "loose" if dec is None or dec.loose else "bounded")
-    shapes = {key: shape for key, (views, shape) in hits.items()}
+    # Every candidate already passed the weak gate, as a single call or
+    # through the searcher's emit gate.
+    hits = {tuple(v.key for v in views): views for views in raw}
     minimal = _minimal_filter(
-        [views for views, _ in hits.values()],
+        list(hits.values()),
         query,
         weaken=False,
         explicit_check=lambda vs: _is_minimal_weak(vs, query),
     )
     out = [
-        PlanHit(
-            chain_plan(views, query.constant),
-            views,
-            shapes[tuple(v.key for v in views)],
-        )
+        PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
         for views in minimal
     ]
     out.sort(key=lambda h: tuple(v.name for v in h.views))
@@ -1151,8 +1124,7 @@ def find_one_weakly_smart(
     if not catalog:
         raise EmptyCatalogError("no functions")
     closure = catalog_closure(catalog)
-    k = max(len(v) for v in closure)
-    bound = len(closure) ** (2 * k)
+    bound = _state_bound(closure)
     for v in closure:
         if weakly_smart_skeleton(v.skeleton, query):
             return FindResult(
@@ -1167,7 +1139,7 @@ def find_one_weakly_smart(
         max_plans=1,
         deadline=deadline,
         single=True,
-        emit_gate=_loose_gate(query),
+        emit_gate=lambda views: _subsequence_is_weak(views, query),
         prune_dominated=True,
     )
     searcher.run()
@@ -1182,8 +1154,9 @@ def find_one_weakly_smart(
 
 
 def _shape_of(views: Sequence[SubFunction], query: AtomicQuery) -> str:
-    dec = is_loosely_bounded(_concat_skeleton(views), query)
-    return "bounded" if dec is not None and not dec.loose else "loose"
+    """Shape of a weakly smart call sequence: "bounded" when its skeleton
+    is, else "loose"."""
+    return "bounded" if is_bounded(_concat_skeleton(views), query) is not None else "loose"
 
 
 def minimize_views(views: Sequence[SubFunction], query: AtomicQuery) -> tuple:
@@ -1219,12 +1192,18 @@ class BoundEstimate:
     factorial_digits: int
 
 
+def _state_bound(closure: Sequence[SubFunction]) -> int:
+    """|closure|^(2k), k the longest view: the search's state count bound."""
+    return len(closure) ** (2 * max(len(v) for v in closure))
+
+
 def bound_estimate(catalog: Sequence[PathFunction]) -> BoundEstimate:
-    """M = |catalog|^(2k) and the digit count of M!, never materialized."""
+    """M = |closure|^(2k) and the digit count of M!, never materialized."""
     if not catalog:
         return BoundEstimate(0, 0, 0)
-    k = max(len(f) for f in catalog)
-    m = len(catalog) ** (2 * k)
+    closure = catalog_closure(catalog)
+    k = max(len(v) for v in closure)
+    m = _state_bound(closure)
     if m <= 1:
         digits = 1
     elif m < 10**15:

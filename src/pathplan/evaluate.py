@@ -81,24 +81,6 @@ def query_answers(query: AtomicQuery, instance: Instance) -> Set[str]:
     return set(instance.successors(query.relation, query.constant))
 
 
-def eval_path_query(
-    skeleton: Sequence[Atom],
-    start: str,
-    filters: dict,
-    instance: Instance,
-) -> Set[str]:
-    """Terminal constants reachable along the skeleton with filters applied.
-
-    ``filters`` maps boundary positions (0..len) to required constants;
-    position 0 is the start itself.
-    """
-    return eval_semantics(
-        PathSemantics(tuple(skeleton), tuple(filters.items()), len(skeleton)),
-        start,
-        instance,
-    )
-
-
 def eval_semantics(sem: PathSemantics, start: str, instance: Instance) -> Set[str]:
     """Values at the output boundary supported by complete embeddings."""
     fmap = sem.filter_map()
@@ -230,14 +212,27 @@ def eval_plan(
     return out
 
 
+def _fresh_names(indices: Sequence[int], sem: PathSemantics, query: AtomicQuery) -> list:
+    """Names c<i> for the indices, the prefix lengthened by "_" until none
+    equals the query constant or a filter constant of ``sem``."""
+    reserved = {query.constant} | {const for _, const in sem.filters}
+    prefix = "c"
+    while any(f"{prefix}{i}" in reserved for i in indices):
+        prefix += "_"
+    return [f"{prefix}{i}" for i in indices]
+
+
 def canonical_weak_database(sem: PathSemantics, query: AtomicQuery) -> Instance:
     """The path instance from the completeness proof: one query fact into a
     fresh constant, then the skeleton laid out over fresh constants from the
-    query constant."""
-    facts = [_oriented_fact(query.relation, query.constant, "c0")]
+    query constant.  The fresh constant at line position p is named c<p>
+    (the query constant sits at position 1); no fresh name equals the query
+    constant or a filter constant of ``sem``."""
+    n = len(sem.skeleton)
+    names = _fresh_names([0] + list(range(2, n + 2)), sem, query)
+    facts = [_oriented_fact(query.relation, query.constant, names[0])]
     node = query.constant
-    for i, atom in enumerate(sem.skeleton):
-        nxt = f"c{i + 2}"
+    for atom, nxt in zip(sem.skeleton, names[1:]):
         facts.append(_oriented_fact(atom, node, nxt))
         node = nxt
     return Instance(facts)
@@ -257,10 +252,9 @@ class OracleReport:
     instances_checked: int = 0
 
 
-def _fact_universe(plan: ExecutionPlan, query: AtomicQuery) -> list:
-    sem = plan_semantics(strip_filters(plan))
+def _fact_universe(sem: PathSemantics, query: AtomicQuery) -> list:
     relations = {a.base for a in sem.skeleton} | {query.relation.base}
-    pool = [query.constant, "c0", "c1", "c2"]
+    pool = [query.constant] + _fresh_names(range(3), sem, query)
     return [
         Fact(rel, s, o)
         for rel in sorted(relations)
@@ -282,14 +276,14 @@ def _instance_family(
     was cut off by the cap.  ``max_instances`` caps only the exhaustive
     layer: all 2^|facts| - 2 proper non-empty subsets of the canonical
     database are always yielded."""
-    sem = plan_semantics(strip_filters(plan))
+    sem = plan_semantics(plan)
     canonical = canonical_weak_database(sem, query)
     yield canonical, False
     facts = sorted(canonical.facts, key=str)
     for k in range(len(facts) - 1, 0, -1):
         for combo in itertools.combinations(facts, k):
             yield Instance(combo), False
-    universe = _fact_universe(plan, query)
+    universe = _fact_universe(sem, query)
     emitted = 0
     truncated = False
     for k in range(1, budget + 1):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from pathplan import (
@@ -5,6 +6,7 @@ from pathplan import (
     AtomicQuery,
     ExecutionPlan,
     FunctionCall,
+    PathSemantics,
     SubFunction,
     chain_plan,
     find_walk,
@@ -14,10 +16,11 @@ from pathplan import (
     is_weakly_smart,
     is_well_filtering,
     minimal_filtering_plan,
+    weakly_smart_semantics,
 )
 from pathplan.characterize import BACKWARD, FORWARD, NOT_WEAKLY_SMART, SMART, WEAKLY_SMART_ONLY
 
-from util import fig1_catalog, fn, jobtitle_query, music_catalog
+from util import fig1_catalog, fn, jobtitle_query, music_catalog, reference_weakly_smart
 
 
 def atoms(text):
@@ -120,6 +123,26 @@ def test_is_weakly_smart_pi1_pi2():
     pi1, pi2 = _pi_plans()
     assert is_weakly_smart(pi1, q)
     assert not is_weakly_smart(pi2, q)
+
+
+def test_weakly_smart_semantics_matches_canonical_evaluation():
+    # Every skeleton of length <= 4 over r, s and their inverses, every
+    # output boundary, with no filter, the query constant at one boundary,
+    # or another constant at one boundary.
+    oriented = [Atom("r"), Atom("r", True), Atom("s"), Atom("s", True)]
+    for constant, other in (("a", "b"), ("c2", "c0")):
+        q = AtomicQuery(Atom("r"), constant)
+        for length in range(5):
+            for skeleton in itertools.product(oriented, repeat=length):
+                filter_sets = [()]
+                for pos in range(length + 1):
+                    filter_sets += [((pos, constant),), ((pos, other),)]
+                for output in range(length + 1):
+                    for filters in filter_sets:
+                        sem = PathSemantics(skeleton, filters, output)
+                        assert weakly_smart_semantics(sem, q) == reference_weakly_smart(
+                            sem, q
+                        ), (sem, q)
 
 
 def test_is_weakly_smart_recursive_example():

@@ -125,6 +125,19 @@ def test_check_fails_for_wrong_query(capsys):
     assert code == 4
 
 
+def test_check_weak_oracle_constant_named_like_fresh_one(tmp_path, capsys):
+    functions = tmp_path / "f.cat"
+    functions.write_text("f = r^- | out 1\n")
+    for constant in ("a", "c0", "c2"):
+        plan = tmp_path / f"{constant}.plan"
+        plan.write_text(f"call f({constant} -> v0)\noutput v0\n")
+        code, out = run(
+            capsys, "check", "--functions", str(functions), "--plan", str(plan),
+            "--query", "r", "--level", "weak", "--oracle",
+        )
+        assert code == 4, (constant, out)
+
+
 def test_eval_pi1(capsys):
     code, out = run(
         capsys, "eval", "--functions", demo("fig1.cat"), "--instance", demo("fig1.inst"),

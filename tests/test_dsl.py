@@ -12,7 +12,6 @@ from pathplan.dsl import (
     parse_catalog,
     parse_instance,
     parse_plan,
-    plan_record,
     serialize_catalog,
     serialize_instance,
     serialize_plan,
@@ -103,19 +102,6 @@ def test_plan_round_trip_prefix_and_placeholder():
 def test_plan_unknown_function():
     with pytest.raises(UnknownFunctionError):
         parse_plan("call nope(a -> v0)\noutput v0", fig1_catalog())
-
-
-def test_plan_record_skeleton():
-    cat = fig1_catalog()
-    text = (
-        "call getCompany(a -> v0)\n"
-        "call getHierarchy(v0 -> v1, v2)\n"
-        "filter v1 = a\n"
-        "output v2\n"
-    )
-    record = plan_record(parse_plan(text, cat))
-    assert record["skeleton"] == "worksFor.worksFor^-.jobTitle"
-    assert record["output"] == "v2"
 
 
 def test_catalog_round_trip_random():

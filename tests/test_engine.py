@@ -14,6 +14,7 @@ from pathplan import (
     find_one_weakly_smart,
     has_trivial_equivalent_rewriting,
     is_smart,
+    is_weakly_smart,
     minimize_plan,
     search_successors,
     state_consistent,
@@ -117,16 +118,17 @@ def test_loop_solo_plan():
     assert [tuple(v.name for v in h.views) for h in hits] == [("f",)]
 
 
-def test_loop_extension_no_op_without_loops():
-    rng = random.Random(19)
-    for seed in range(20):
-        cat = gen_catalog(SynthConfig(3, 4, 2, seed=seed + 600))
-        if any(f.pivot() for f in cat):
-            continue
-        q = AtomicQuery(Atom(f"r{rng.randint(1, 3)}"), "a")
-        on = enumerate_minimal_weakly_smart(q, cat, use_loops=True)
-        off = enumerate_minimal_weakly_smart(q, cat, use_loops=False)
-        assert [h.views for h in on] == [h.views for h in off]
+def test_weak_plans_for_constants_named_like_fresh_ones():
+    # f is weakly smart only if a query constant named like a fresh
+    # constant merged two nodes of the canonical database.
+    r = Atom("r")
+    cat = [fn("f", [r.invert()])]
+    for constant in ("a", "c0", "c2"):
+        q = AtomicQuery(r, constant)
+        plan = chain_plan([SubFunction(cat[0], 1)], constant)
+        assert not is_weakly_smart(plan, q)
+        assert enumerate_minimal_weakly_smart(q, cat) == []
+        assert find_one_weakly_smart(q, cat).hit is None
 
 
 def test_find_one_matches_enumerate():
@@ -261,6 +263,13 @@ def test_bound_estimate():
     est = bound_estimate(thirty)
     assert est.state_bound == 729_000_000
     assert est.factorial_digits > 6 * 10**9  # log10(M!) is astronomically large
+
+
+def test_bound_estimate_counts_closure():
+    # getHierarchy has two outputs, so the closure holds four views.
+    est = bound_estimate(fig1_catalog())
+    result = find_one_weakly_smart(jobtitle_query(), fig1_catalog())
+    assert est.state_bound == result.state_bound == 256
 
 
 def test_engine_matches_brute_force_small():

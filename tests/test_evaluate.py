@@ -9,7 +9,6 @@ from pathplan import (
     chain_plan,
     call_function,
     canonical_weak_database,
-    eval_path_query,
     eval_plan,
     oracle_is_smart,
     oracle_is_weakly_smart,
@@ -39,16 +38,16 @@ FIG1_INSTANCE = Instance(
 
 def test_eval_path_query_pi1():
     skeleton = (Atom("worksFor"), Atom("worksFor", True), Atom("jobTitle"))
-    out = eval_path_query(skeleton, "Anna", {2: "Anna"}, FIG1_INSTANCE)
-    assert out == {"Journalist"}
+    sem = PathSemantics(skeleton, ((2, "Anna"),), 3)
+    assert eval_semantics(sem, "Anna", FIG1_INSTANCE) == {"Journalist"}
 
 
 def test_eval_path_query_empty_skeleton():
-    assert eval_path_query((), "a", {}, Instance()) == {"a"}
+    assert eval_semantics(PathSemantics((), (), 0), "a", Instance()) == {"a"}
 
 
 def test_eval_path_query_no_facts():
-    assert eval_path_query((Atom("r"),), "a", {}, Instance()) == set()
+    assert eval_semantics(PathSemantics((Atom("r"),), (), 1), "a", Instance()) == set()
 
 
 def company_info():
@@ -178,6 +177,18 @@ def test_canonical_weak_database_short():
     q = AtomicQuery(Atom("r"), "a")
     sem = PathSemantics((Atom("r"),), (), 1)
     assert len(canonical_weak_database(sem, q)) == 2
+
+
+def test_canonical_weak_database_fresh_constants():
+    # A query or filter constant named like a fresh constant must not merge
+    # two nodes of the line.
+    sem = PathSemantics((Atom("r", True), Atom("s")), (), 2)
+    for constant in ("a", "c0", "c2"):
+        inst = canonical_weak_database(sem, AtomicQuery(Atom("r"), constant))
+        assert len(inst) == 3 and len(inst.constants()) == 4
+    filtered = PathSemantics(sem.skeleton, ((1, "c2"),), 2)
+    inst = canonical_weak_database(filtered, AtomicQuery(Atom("r"), "a"))
+    assert "c2" not in inst.constants() and len(inst.constants()) == 4
 
 
 def test_oracle_weakly_smart_pi1_pi2():

@@ -12,11 +12,11 @@ from pathplan import (
     Atom,
     AtomicQuery,
     PathFunction,
+    PathSemantics,
+    canonical_weak_database,
     catalog_closure,
-    is_bounded,
-    is_loosely_bounded,
 )
-from pathplan.characterize import weakly_smart_skeleton
+from pathplan.evaluate import eval_semantics, query_answers
 
 
 def fn(name, atoms, outs=None):
@@ -28,6 +28,14 @@ def concat(views):
     return tuple(a for v in views for a in v.skeleton)
 
 
+def reference_weakly_smart(sem, query):
+    """Weak smartness by evaluating the semantics on its canonical database,
+    independent of the walk kernel in ``characterize``."""
+    instance = canonical_weak_database(sem, query)
+    delivered = eval_semantics(sem, query.constant, instance)
+    return bool(delivered & query_answers(query, instance))
+
+
 def brute_force_minimal_weak(query, catalog, max_calls=5):
     """Exhaustive chains over the closure, kept iff weakly smart (canonical
     database evaluation) and no proper subsequence is."""
@@ -36,7 +44,8 @@ def brute_force_minimal_weak(query, catalog, max_calls=5):
 
     def weak_skeleton(skeleton):
         if skeleton not in memo:
-            memo[skeleton] = weakly_smart_skeleton(skeleton, query)
+            sem = PathSemantics(skeleton, (), len(skeleton))
+            memo[skeleton] = len(skeleton) > 0 and reference_weakly_smart(sem, query)
         return memo[skeleton]
 
     weak = {}
