@@ -282,15 +282,20 @@ def _filter_is_safe(sem: PathSemantics, query: AtomicQuery, pos: int) -> bool:
     return False
 
 
-def smart_shape(plan: ExecutionPlan, query: AtomicQuery) -> bool:
-    """Syntactic smartness test for a chained plan with its own filters."""
+def _core_skeleton(plan: ExecutionPlan) -> tuple:
+    return plan_semantics(constraint_free_core(plan)).skeleton
+
+
+def _smart_decomposition(plan: ExecutionPlan, query: AtomicQuery):
+    """Syntactic smartness test for a chained plan with its own filters:
+    the bounded decomposition of its constraint-free core when the plan is
+    well-filtering with every filter safe, else None."""
     sem = plan_semantics(plan)
     if not _well_filtering_sem(sem, query):
-        return False
+        return None
     if not all(_filter_is_safe(sem, query, p) for p in sem.filter_positions):
-        return False
-    core = plan_semantics(constraint_free_core(plan))
-    return is_bounded(core.skeleton, query) is not None
+        return None
+    return is_bounded(_core_skeleton(plan), query)
 
 
 def is_smart(plan: ExecutionPlan, query: AtomicQuery) -> Verdict:
@@ -300,9 +305,9 @@ def is_smart(plan: ExecutionPlan, query: AtomicQuery) -> Verdict:
     a query atom adjacent to the output, and the constraint-free core is
     bounded (not merely loosely bounded).
     """
-    core = plan_semantics(constraint_free_core(plan))
-    if smart_shape(plan, query):
-        return Verdict(SMART, is_bounded(core.skeleton, query))
+    bounded = _smart_decomposition(plan, query)
+    if bounded is not None:
+        return Verdict(SMART, bounded)
     if is_weakly_smart(plan, query):
-        return Verdict(WEAKLY_SMART_ONLY, is_loosely_bounded(core.skeleton, query))
+        return Verdict(WEAKLY_SMART_ONLY, is_loosely_bounded(_core_skeleton(plan), query))
     return Verdict(NOT_WEAKLY_SMART, None)

@@ -3,8 +3,10 @@
 The search scans forward-path positions left to right.  A state is a set of
 positioned function members: forward members emit their current atom and
 count up, backward members emit the inverse of theirs and count down, and
-exactly one forward member is designated as the forward-path builder.  All
-active members of a consistent state emit the same atom.  A backward member
+exactly one forward member is designated as the forward-path builder.  The
+search enters only consistent states, whose active members all emit the
+same atom: a state whose advanced members disagree matches no line of
+atoms, so it is dropped before anything joins it.  A backward member
 exhausting means a call starts at the current position; a forward member
 running out means a call ends there.  Minimal plans allow at most one of
 each per state and never repeat a state, which bounds the search and makes
@@ -349,19 +351,8 @@ class _Searcher:
         deadline: Optional[float] = None,
         single: bool = False,
         emit_gate: Optional[Callable] = None,
-        prune_dominated: bool = False,
     ):
         self.closure = list(closure)
-        if prune_dominated:
-            # A call whose view is weakly smart on its own dominates every
-            # multi-call plan containing it, so those views never appear in
-            # minimal multi-call plans.  Single-call plans are found outside
-            # the search.
-            self.closure = [
-                v
-                for v in self.closure
-                if not weakly_smart_skeleton(v.skeleton, query)
-            ]
         self.query = query
         self.max_depth = max_depth
         self.max_plans = max_plans
@@ -812,12 +803,11 @@ class _Searcher:
         structure its needs call for and at most one valley crossing the
         entry position, which carries no need."""
         current = _common_emission(advanced)
-        moves_alone = not designated_ended and begins == ends_n
         if current is _CLASH:
-            # Nothing can join inconsistent members; they only move on.
-            if moves_alone:
-                self._search(advanced, entry, recs, obligation, mode, stack)
+            # Members emitting different atoms match no line of atoms, so
+            # no plan comes from them: drop the state.
             return
+        moves_alone = not designated_ended and begins == ends_n
         # Joining members must emit the next state's atom, so the tables
         # give only structures emitting it (or nothing) at entry.
         if designated_ended:
@@ -999,11 +989,22 @@ def _concat_skeleton(views: Sequence[SubFunction]) -> tuple:
     return tuple(a for v in views for a in v.skeleton)
 
 
-def _subsequence_is_weak(views: Sequence[SubFunction], query: AtomicQuery) -> bool:
-    return weakly_smart_skeleton(_concat_skeleton(views), query)
+def _weak_gate(query: AtomicQuery) -> Callable:
+    """The weak gate on call sequences for ``query``, remembering each
+    concatenated skeleton's verdict for as long as the gate is kept."""
+    verdicts = {}
+
+    def weak(views: Sequence[SubFunction]) -> bool:
+        skeleton = _concat_skeleton(views)
+        verdict = verdicts.get(skeleton)
+        if verdict is None:
+            verdict = verdicts[skeleton] = weakly_smart_skeleton(skeleton, query)
+        return verdict
+
+    return weak
 
 
-def _is_minimal_weak(views: Sequence[SubFunction], query: AtomicQuery) -> bool:
+def _is_minimal_weak(views: Sequence[SubFunction], weak: Callable) -> bool:
     views = tuple(views)
     n = len(views)
     if n > 14:
@@ -1012,7 +1013,7 @@ def _is_minimal_weak(views: Sequence[SubFunction], query: AtomicQuery) -> bool:
         return True
     for size in range(1, n):
         for combo in itertools.combinations(range(n), size):
-            if _subsequence_is_weak(tuple(views[i] for i in combo), query):
+            if weak(tuple(views[i] for i in combo)):
                 return False
     return True
 
@@ -1074,15 +1075,17 @@ def enumerate_minimal_weakly_smart(
     if not catalog:
         raise EmptyCatalogError("no functions")
     closure = catalog_closure(catalog)
-    raw = [(v,) for v in closure if weakly_smart_skeleton(v.skeleton, query)]
+    weak = _weak_gate(query)
+    raw = [(v,) for v in closure if weak((v,))]
+    # A call whose view is weakly smart on its own dominates every
+    # multi-call plan containing it, so the search leaves those views out.
     searcher = _Searcher(
-        closure,
+        [v for v in closure if not weak((v,))],
         query,
         max_depth=max_depth,
         max_plans=max_plans,
         deadline=deadline,
-        emit_gate=lambda views: _subsequence_is_weak(views, query),
-        prune_dominated=True,
+        emit_gate=weak,
     )
     searcher.run()
     raw.extend(views for views, _ in searcher.results)
@@ -1093,7 +1096,7 @@ def enumerate_minimal_weakly_smart(
         list(hits.values()),
         query,
         weaken=False,
-        explicit_check=lambda vs: _is_minimal_weak(vs, query),
+        explicit_check=lambda vs: _is_minimal_weak(vs, weak),
     )
     out = [
         PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
@@ -1125,13 +1128,15 @@ def find_one_weakly_smart(
         raise EmptyCatalogError("no functions")
     closure = catalog_closure(catalog)
     bound = _state_bound(closure)
+    weak = _weak_gate(query)
     for v in closure:
-        if weakly_smart_skeleton(v.skeleton, query):
+        if weak((v,)):
             return FindResult(
                 PlanHit(chain_plan([v], query.constant), (v,), _shape_of((v,), query)),
                 0,
                 bound,
             )
+    # No view is weakly smart on its own, so none dominates a longer plan.
     searcher = _Searcher(
         closure,
         query,
@@ -1139,8 +1144,7 @@ def find_one_weakly_smart(
         max_plans=1,
         deadline=deadline,
         single=True,
-        emit_gate=lambda views: _subsequence_is_weak(views, query),
-        prune_dominated=True,
+        emit_gate=weak,
     )
     searcher.run()
     if searcher.results:
@@ -1162,10 +1166,11 @@ def _shape_of(views: Sequence[SubFunction], query: AtomicQuery) -> str:
 def minimize_views(views: Sequence[SubFunction], query: AtomicQuery) -> tuple:
     """Smallest weakly smart subsequence, searched by increasing size."""
     views = tuple(views)
+    weak = _weak_gate(query)
     for size in range(1, len(views) + 1):
         for combo in itertools.combinations(range(len(views)), size):
             sub = tuple(views[i] for i in combo)
-            if _subsequence_is_weak(sub, query):
+            if weak(sub):
                 return sub
     raise NotWeaklySmartError("no weakly smart subsequence")
 
@@ -1173,7 +1178,7 @@ def minimize_views(views: Sequence[SubFunction], query: AtomicQuery) -> tuple:
 def minimize_plan(plan: ExecutionPlan, query: AtomicQuery) -> ExecutionPlan:
     """Extract a minimal weakly smart plan from a weakly smart one."""
     views = tuple(c.view for c in plan.calls)
-    if not _subsequence_is_weak(views, query):
+    if not weakly_smart_skeleton(_concat_skeleton(views), query):
         raise NotWeaklySmartError("plan is not weakly smart")
     return chain_plan(minimize_views(views, query), query.constant)
 
