@@ -22,6 +22,7 @@ from .model import (
     Atom,
     ExecutionPlan,
     FunctionCall,
+    ModelError,
     MultiPivotError,
     PathFunction,
     SubFunction,
@@ -154,7 +155,7 @@ def parse_catalog(text: str, source_name: str = "<catalog>") -> CatalogDocument:
             fn = PathFunction(name, tuple(atoms), tuple(outputs))
         except MultiPivotError as exc:
             raise MultiPivotLoopError(str(exc), lineno, 1) from exc
-        except Exception as exc:
+        except ModelError as exc:
             raise ParseError(str(exc), lineno, 1) from exc
         functions.append(fn)
         names.add(name)
@@ -239,7 +240,7 @@ def parse_plan(text: str, catalog: Sequence[PathFunction]) -> ExecutionPlan:
             prefix_len = int(prefix) if prefix else len(parent.skeleton)
             try:
                 view = SubFunction(parent, prefix_len)
-            except Exception as exc:
+            except ModelError as exc:
                 raise ParseError(str(exc), lineno, 1) from exc
             cells = [c.strip() for c in cells_text.split(",")] if cells_text.strip() else []
             if len(cells) != len(view.bindable):

@@ -866,7 +866,10 @@ class _Searcher:
             return
         self.results.append((views, mode))
         self.stats.plans_emitted += 1
-        if self.single or self.stats.plans_emitted >= self.max_plans:
+        if self.single:
+            raise _StopSearch
+        if self.stats.plans_emitted >= self.max_plans:
+            self.stats.truncated = True
             raise _StopSearch
 
     def _assemble(self, recs: List[_CallRec], mode: str) -> Optional[tuple]:
@@ -1039,8 +1042,8 @@ def _minimal_filter(candidates, query, weaken, explicit_check):
     Candidates are processed shortest first, so any plan witnessing a
     candidate's non-minimality has had its own minimal core accepted
     earlier (the enumeration finds every minimal plan); embedding is
-    transitive over subsequences.  ``explicit_check`` double-checks small
-    candidates exhaustively.
+    transitive over subsequences.  ``explicit_check`` runs only on the
+    candidates no accepted plan embeds, and accepts or rejects each.
     """
     ordered = sorted(
         candidates,
@@ -1050,14 +1053,16 @@ def _minimal_filter(candidates, query, weaken, explicit_check):
             tuple(v.name for v in views),
         ),
     )
-    accepted = []
+    accepted = []  # (views, their parents' names)
     for views in ordered:
-        if any(_embeds(a, views, weaken) for a in accepted):
+        parents = {v.parent.name for v in views}
+        # A plan embeds only into a candidate calling all of its parents.
+        if any(p <= parents and _embeds(a, views, weaken) for a, p in accepted):
             continue
         if not explicit_check(views):
             continue
-        accepted.append(views)
-    return accepted
+        accepted.append((views, parents))
+    return [views for views, _ in accepted]
 
 
 def enumerate_minimal_weakly_smart(
@@ -1163,12 +1168,36 @@ def _shape_of(views: Sequence[SubFunction], query: AtomicQuery) -> str:
     return "bounded" if is_bounded(_concat_skeleton(views), query) is not None else "loose"
 
 
+def _may_be_weak(head: tuple, last, query: AtomicQuery) -> bool:
+    """Necessary for a weakly smart skeleton opening with ``head`` (its
+    first two atoms, or its only one) and ending with ``last``.
+
+    The walk along ``rel^-`` + skeleton ends at position 0, so its last
+    step runs back over ``rel^-`` and emits ``rel``; or, for a skeleton
+    opening with ``rel``, at position 2, reached forward over ``rel`` or
+    backward over the second atom, emitting its inverse.
+    """
+    rel = query.relation
+    return last == rel or (
+        len(head) == 2 and head[0] == rel and last == head[1].invert()
+    )
+
+
 def minimize_views(views: Sequence[SubFunction], query: AtomicQuery) -> tuple:
-    """Smallest weakly smart subsequence, searched by increasing size."""
+    """Smallest weakly smart subsequence, searched by increasing size.
+
+    A subsequence is gated only when the atoms of its first and last calls
+    pass ``_may_be_weak``.
+    """
     views = tuple(views)
     weak = _weak_gate(query)
     for size in range(1, len(views) + 1):
         for combo in itertools.combinations(range(len(views)), size):
+            head = views[combo[0]].skeleton[:2]
+            if len(head) < 2 and size > 1:
+                head += views[combo[1]].skeleton[:1]
+            if not _may_be_weak(head, views[combo[-1]].skeleton[-1], query):
+                continue
             sub = tuple(views[i] for i in combo)
             if weak(sub):
                 return sub
@@ -1355,6 +1384,12 @@ def enumerate_minimal_smart(
     atom, bounded cores extended by a tail call, inverse-mode cores whose
     final call runs past the query atom, and walks to position 1 closed by
     a two-atom ``(rel, rel^-)`` call.
+
+    Shapes are only recorded here, and decided lazily: the minimality
+    filter visits call sequences shortest first, and only a sequence that
+    no accepted plan embeds has its core's boundedness checked, its plan
+    built and ``is_smart`` run on it, one recorded shape at a time in
+    recording order.  The first smart shape is the sequence's kind.
     """
     from .characterize import SMART, is_smart
 
@@ -1362,29 +1397,25 @@ def enumerate_minimal_smart(
         raise EmptyCatalogError("no functions")
     closure = catalog_closure(catalog)
     rel = query.relation
-    candidates = {}
+    const = query.constant
+    build = {
+        "trivial": lambda vs: chain_plan(vs, const),
+        "terminal": lambda vs: _smart_plan_terminal(vs, const),
+        "inverse-terminal": lambda vs: _smart_plan_terminal(vs, const, filter_on_last_var=True),
+        "appended-inverse": lambda vs: _smart_plan_appended_inverse(vs, const),
+    }
+    # Call keys -> the call sequence and its shapes in recording order:
+    # (kind, the skeleton that must be bounded, or None).
+    shapes = {}
 
-    def consider(views, builder, kind):
-        key = (tuple(v.key for v in views), kind)
-        if key in candidates:
-            return
-        try:
-            plan = builder(tuple(views))
-        except ModelError:
-            return  # the final call cannot bind the filtered variable
-        if is_smart(plan, query).level != SMART:
-            return
-        candidates[key] = SmartHit(plan, tuple(views), kind)
-
-    def terminal(vs):
-        return _smart_plan_terminal(vs, query.constant)
-
-    def inverse_terminal(vs):
-        return _smart_plan_terminal(vs, query.constant, filter_on_last_var=True)
+    def consider(views, kind, core=None):
+        found = shapes.setdefault(tuple(v.key for v in views), (views, []))[1]
+        if (kind, core) not in found:
+            found.append((kind, core))
 
     for v in closure:
         if v.skeleton == (rel,):
-            consider((v,), lambda vs: chain_plan(vs, query.constant), "trivial")
+            consider((v,), "trivial")
 
     searcher = _SmartSearcher(
         closure, query, max_depth=max_depth, max_plans=max_plans, deadline=deadline
@@ -1394,53 +1425,63 @@ def enumerate_minimal_smart(
     # query atom is a plan once its final call exposes the filtered
     # variable; any of them is a plan once a tail call follows it.
     tails = [t for t in closure if _is_tail(t, query)]
-    walks = [views for views, mode in searcher.results if mode in ("bounded", "loose")]
-    cores = []
-    for views in walks + [(v,) for v in closure]:
+    cores = [views for views, mode in searcher.results if mode in ("bounded", "loose")]
+    cores += [(v,) for v in closure]
+    for views in cores:
         last = views[-1]
-        filterable = len(last) >= 2 and last.skeleton[-1] == rel and _two_output_able(last)
-        if not (filterable or tails):
-            continue
-        if is_bounded(_concat_skeleton(views), query) is None:
-            continue
-        if filterable:
-            consider(views, terminal, "terminal")
-        cores.append(views)
+        if len(last) >= 2 and last.skeleton[-1] == rel and _two_output_able(last):
+            consider(views, "terminal", _concat_skeleton(views))
     for views in cores:
         for t in tails:
-            if len(t) == 1:
-                consider(
-                    views + (t,),
-                    lambda vs: _smart_plan_appended_inverse(vs, query.constant),
-                    "appended-inverse",
-                )
-            else:
-                consider(views + (t,), terminal, "terminal")
+            kind = "appended-inverse" if len(t) == 1 else "terminal"
+            consider(views + (t,), kind, _concat_skeleton(views))
 
     # Final calls running past the query atom to its inverse: the core
     # stops one atom early and the filter sits past the output.
     past = _past_query_views(closure, query)
     for f in past:
-        if len(f) > 2 and is_bounded(f.skeleton[:-1], query) is not None:
-            consider((f,), inverse_terminal, "inverse-terminal")
+        if len(f) > 2:
+            consider((f,), "inverse-terminal", f.skeleton[:-1])
     pairs = [f for f in past if len(f) == 2]
     for views, mode in searcher.results:
-        if mode == "inverse" and is_bounded(_concat_skeleton(views)[:-1], query) is not None:
-            consider(views, inverse_terminal, "inverse-terminal")
-        elif mode == "to1" and is_bounded(_concat_skeleton(views) + (rel,), query) is not None:
+        if mode == "inverse":
+            consider(views, "inverse-terminal", _concat_skeleton(views)[:-1])
+        elif mode == "to1":
             for f in pairs:
-                consider(views + (f,), inverse_terminal, "inverse-terminal")
+                consider(views + (f,), "inverse-terminal", _concat_skeleton(views) + (rel,))
 
-    by_views = {}
-    for hit in candidates.values():
-        by_views.setdefault(hit.views, hit)
+    bounded = {}  # core skeleton -> is it bounded
+    hits = {}
+
+    def smart_and_minimal(views):
+        """Is the first smart shape of a call sequence minimal?  Records
+        that shape's hit."""
+        tried = set()
+        for kind, core in shapes[tuple(v.key for v in views)][1]:
+            if core is not None:
+                if core not in bounded:
+                    bounded[core] = is_bounded(core, query) is not None
+                if not bounded[core]:
+                    continue
+            if kind in tried:
+                continue  # this kind's plan is already known not to be smart
+            tried.add(kind)
+            try:
+                plan = build[kind](views)
+            except ModelError:
+                continue  # the final call cannot bind the filtered variable
+            if is_smart(plan, query).level == SMART:
+                hits[views] = SmartHit(plan, views, kind)
+                return _is_minimal_smart(views, query)
+        return False
+
     minimal = _minimal_filter(
-        list(by_views),
+        [views for views, _ in shapes.values()],
         query,
         weaken=True,
-        explicit_check=lambda vs: _is_minimal_smart(vs, query),
+        explicit_check=smart_and_minimal,
     )
-    out = [by_views[views] for views in minimal]
+    out = [hits[views] for views in minimal]
     out.sort(key=lambda h: (tuple(v.name for v in h.views), h.kind))
     return out
 

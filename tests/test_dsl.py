@@ -62,6 +62,21 @@ def test_parse_catalog_syntax_error_position():
     assert err.value.line == 2
 
 
+def test_parse_catalog_bad_outputs_position():
+    with pytest.raises(ParseError) as err:
+        parse_catalog("g = s\nf = r . s | out 3")
+    assert err.value.line == 2
+    assert "bad output positions" in err.value.reason
+
+
+def test_plan_missing_prefix_view_position():
+    cat = [fn("f", [Atom("p"), Atom("q")], (2,))]
+    with pytest.raises(ParseError) as err:
+        parse_plan("# prefix 1 is no output\ncall f[1](a -> v0)\noutput v0\n", cat)
+    assert err.value.line == 2
+    assert "no sub-function of length 1" in err.value.reason
+
+
 def test_parse_instance():
     inst = parse_instance("worksFor(Anna, TheGuardian)\nworksFor(Anna, TheGuardian)")
     assert len(inst) == 1

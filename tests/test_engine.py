@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from pathplan import (
     Member,
     SubFunction,
     bound_estimate,
+    catalog_closure,
     chain_plan,
     enumerate_minimal_smart,
     enumerate_minimal_weakly_smart,
@@ -20,11 +22,24 @@ from pathplan import (
     state_consistent,
     susie_plans,
 )
-from pathplan.characterize import SMART
-from pathplan.engine import EmptyCatalogError, NotWeaklySmartError
+from pathplan import characterize
+from pathplan.characterize import SMART, weakly_smart_skeleton
+from pathplan.engine import (
+    EmptyCatalogError,
+    NotWeaklySmartError,
+    _may_be_weak,
+    _Searcher,
+)
 from pathplan.synth import SynthConfig, gen_catalog
 
-from util import brute_force_minimal_weak, fig1_catalog, fn, jobtitle_query, music_catalog
+from util import (
+    brute_force_minimal_weak,
+    count_calls,
+    fig1_catalog,
+    fn,
+    jobtitle_query,
+    music_catalog,
+)
 
 
 def member(text, index, forward, designated=False):
@@ -387,3 +402,47 @@ def test_find_one_state_counts_pinned():
     assert sum(len(_oriented_queries(cat)) for cat in item1) == 288
     assert visited(item1) == 431
     assert visited(gen_catalog(SynthConfig(4, 30, 3, seed=s)) for s in range(4)) == 103
+
+
+def test_smart_enumeration_decides_only_survivors():
+    # Of 3775 raw search results only the call sequences that no accepted
+    # plan embeds get a plan built and is_smart run, and here each of them
+    # is a minimal smart plan.
+    q = AtomicQuery(Atom("r4"), "a")
+    cat = gen_catalog(SynthConfig(4, 30, 3, seed=0))
+    with count_calls(characterize, "is_smart") as smart:
+        hits = enumerate_minimal_smart(q, cat)
+    assert [(".".join(v.name for v in h.views), h.kind) for h in hits] == [
+        ("f10", "trivial"),
+        ("f25.f4.f13", "appended-inverse"),
+        ("f25.f4.f22", "appended-inverse"),
+        ("f25.f4.f29", "appended-inverse"),
+        ("f30.f4.f13", "appended-inverse"),
+        ("f30.f4.f22", "appended-inverse"),
+        ("f30.f4.f29", "appended-inverse"),
+    ]
+    assert smart.calls == 7
+
+
+def test_weak_screen_is_necessary():
+    # Every weakly smart skeleton ends with the query atom, or opens with
+    # it and ends with the inverse of its second atom.
+    r, s = Atom("r"), Atom("s")
+    atoms = (r, r.invert(), s, s.invert())
+    q = AtomicQuery(r, "a")
+    weak = 0
+    for n in range(1, 7):
+        for skeleton in itertools.product(atoms, repeat=n):
+            if weakly_smart_skeleton(skeleton, q):
+                weak += 1
+                assert _may_be_weak(skeleton[:2], skeleton[-1], q), skeleton
+    assert weak == 42
+
+
+def test_plan_cap_sets_truncated():
+    q = AtomicQuery(Atom("r4"), "a")
+    cat = gen_catalog(SynthConfig(4, 30, 3, seed=0))
+    searcher = _Searcher(catalog_closure(cat), q, max_plans=1)
+    searcher.run()
+    assert len(searcher.results) == 1
+    assert searcher.stats.truncated

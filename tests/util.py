@@ -6,7 +6,9 @@ chains exhaustively and keep the minimal ones, with no state machinery.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import types
 
 from pathplan import (
     Atom,
@@ -92,3 +94,24 @@ def music_catalog():
 
 def jobtitle_query():
     return AtomicQuery(Atom("jobTitle"), "a")
+
+
+@contextlib.contextmanager
+def count_calls(module, name):
+    """Count the calls made to ``module.name`` inside the block.
+
+    Yields a namespace whose ``calls`` grows with each call; the original
+    attribute is put back on exit.
+    """
+    original = getattr(module, name)
+    counter = types.SimpleNamespace(calls=0)
+
+    def counted(*args, **kwargs):
+        counter.calls += 1
+        return original(*args, **kwargs)
+
+    setattr(module, name, counted)
+    try:
+        yield counter
+    finally:
+        setattr(module, name, original)
