@@ -56,6 +56,8 @@ def _cmd_plans(args) -> int:
     else:  # one
         result = engine.find_one_weakly_smart(query, list(doc), deadline=deadline)
         blocks = [dsl.serialize_plan(result.hit.plan)] if result.hit else []
+        if result.truncated:
+            print(f"note: search truncated ({result.cause})", file=sys.stderr)
     blocks.sort()
     text = "\n".join(blocks)
     if args.out:

@@ -19,16 +19,23 @@ bottom of the walk align with the first scanned position, so they are
 seeded explicitly rather than discovered mid-scan.
 
 Every structure that can join a state (an ender, beginner, valley or
-designated call, a beginner-ender pair, a seed extra) is a template built
-once per closure: members without a token, parts without an entry scan,
-plus the atom it emits on entry.  A state looks its candidates up by the
-atom its members emit next, in closure order, and runs every check on the
-templates; a combination is stamped with fresh tokens and its entry scan
-only when it joins, so one template can become several calls of a plan.
+designated call, a beginner-ender pair, a seed extra) is a template:
+members without a token, parts without an entry scan, plus the atom it
+emits on entry.  A state looks its candidates up by the atom its members
+emit next, in closure order, and runs every check on the templates; a
+combination is stamped with fresh tokens and its entry scan only when it
+joins, so one template can become several calls of a plan.
+
+The templates that follow from the closure alone (the ender, beginner,
+valley and designated tables and the beginner-ender pairs) are built once
+per closure value and shared by every query and seed mode on an equal
+closure, through a small LRU cache.  They hold no query, token or search
+state, so results never depend on what the cache holds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -312,102 +319,38 @@ class _Table:
         return found
 
 
-@dataclass
-class _SearchStats:
-    states_visited: int = 0
-    plans_emitted: int = 0
-    truncated: bool = False
+class _Templates:
+    """What the search builds from the closure alone: the ender, beginner,
+    valley and designated tables and the beginner-ender pairs.
 
-
-class _StopSearch(Exception):
-    pass
-
-
-# Where the walk of a seed's plan ends: at 0 past the query atom, or at 1.
-_WALK_END = {"bounded": 0, "inverse": 0, "loose": 1, "to1": 1}
-
-
-class _Searcher:
-    """One depth-first run over all seeds for a fixed query and closure.
-
-    ``modes`` names the seed families, in the order they run; each result
-    is a ``(views, mode)`` pair carrying the mode of its seed.
-
-    Every structure that can join a state is built once from the closure,
-    as a template without token or entry scan, into one table per kind.
-    A state looks its candidates up by the atom it emits next, checks them
-    as templates and stamps a combination with fresh tokens only when it
-    joins.
+    Nothing here depends on a query, a seed mode or a run, so one instance
+    serves every search on an equal closure (``_templates``).  It never
+    changes after construction except for the lookups that ``_Table`` and
+    ``pairs`` fill on first use, which follow from the closure too.
     """
 
-    modes = ("bounded", "loose")
-
-    def __init__(
-        self,
-        closure: Sequence[SubFunction],
-        query: AtomicQuery,
-        max_depth: int = 64,
-        max_plans: int = 10000,
-        deadline: Optional[float] = None,
-        single: bool = False,
-        emit_gate: Optional[Callable] = None,
-    ):
-        self.closure = list(closure)
-        self.query = query
-        self.max_depth = max_depth
-        self.max_plans = max_plans
-        self.deadline = deadline
-        self.single = single
-        self.emit_gate = emit_gate
-        self.visited = set()
-        self.stats = _SearchStats()
-        self.results: List[tuple] = []
-        self._token_counter = itertools.count()
+    def __init__(self, closure: tuple):
+        self.closure = closure
         self._loops = []
-        for v in self.closure:
+        for v in closure:
             p = v.parent.pivot()
             if p is not None and p < len(v):
                 self._loops.append((v, p))
-        self._enders = _Table(_structure(c) for c in self._ender_calls())
-        self._beginners = _Table(_structure(c) for c in self._beginner_calls())
-        self._valleys = _Table(_structure(c) for c in self._valley_calls())
-        self._designated = _Table(_structure(c) for c in self._designated_calls())
+        self.enders = _Table(_structure(c) for c in self._ender_calls())
+        self.beginners = _Table(_structure(c) for c in self._beginner_calls())
+        self.valleys = _Table(_structure(c) for c in self._valley_calls())
+        self.designated = _Table(_structure(c) for c in self._designated_calls())
         self._pair_lists = {}
 
-    def _pairs(self, atom) -> list:
+    def pairs(self, atom) -> list:
         """Beginner-ender pairs emitting ``atom`` or nothing (every pair for
         None), beginners outermost, built on first lookup."""
         found = self._pair_lists.get(atom)
         if found is None:
-            enders = self._enders.matching(atom)
-            pairs = (_pair(b, e) for b in self._beginners.matching(atom) for e in enders)
+            enders = self.enders.matching(atom)
+            pairs = (_pair(b, e) for b in self.beginners.matching(atom) for e in enders)
             found = self._pair_lists[atom] = [p for p in pairs if p is not None]
         return found
-
-    def run(self):
-        try:
-            for members, recs, obligation, mode in self._seeds():
-                self._search(frozenset(members), 1, recs, obligation, mode, [])
-        except _StopSearch:
-            return
-
-    def _stamp(self, structure: _Structure, entry: int, members: list, recs: list, obligation):
-        """Give each call of the structure, in call order, the entry scan and
-        a fresh token (an ascent takes its obligation's), adding its members
-        and records; returns the obligation once the structure has joined."""
-        for call in structure.calls:
-            if call.continues:
-                tok = obligation.token
-                obligation = replace(obligation, enter_scan=-1)
-            else:
-                tok = next(self._token_counter)
-            members.extend(_at(m, m.index, tok) for m in call.members)
-            recs.append(_CallRec(tok, call.view, entry, call.parts))
-            if call.ascent is not None:
-                obligation = _Obligation(tok, call.view, call.ascent, entry + call.ascent_after)
-        return obligation
-
-    # -- candidate templates ---------------------------------------------------
 
     def _ender_calls(self):
         """Calls whose walk stretch ends at the entry position."""
@@ -497,6 +440,112 @@ class _Searcher:
             )
             yield _Call(v, (m1, m2), parts)
 
+
+# A catalog's queries and modes run back to back, so a few entries serve
+# them all.  Kept below ten, the catalog count of the smallest perfbench
+# pass, so that no timed pass reuses templates built in an earlier one.
+@functools.lru_cache(maxsize=8)
+def _templates(closure: tuple) -> _Templates:
+    """The templates of ``closure``, shared through an LRU cache.
+
+    Closures are keyed by value (views, their parents' names, bodies and
+    outputs), so equal catalogs share an entry and catalogs that differ in
+    any body or output never do.
+    """
+    return _Templates(closure)
+
+
+@dataclass
+class _SearchStats:
+    states_visited: int = 0
+    plans_emitted: int = 0
+    cause: Optional[str] = None  # what cut the search last: "deadline", "depth" or "plan cap"
+
+    @property
+    def truncated(self) -> bool:
+        return self.cause is not None
+
+
+class _StopSearch(Exception):
+    pass
+
+
+# Where the walk of a seed's plan ends: at 0 past the query atom, or at 1.
+_WALK_END = {"bounded": 0, "inverse": 0, "loose": 1, "to1": 1}
+
+
+class _Searcher:
+    """One depth-first run over all seeds for a fixed query and closure.
+
+    ``modes`` names the seed families, in the order they run; each result
+    is a ``(views, mode)`` pair carrying the mode of its seed.
+
+    Every structure that can join a state is a template without token or
+    entry scan.  The tables of enders, beginners, valleys and designated
+    calls, and the beginner-ender pairs, come from the closure alone: they
+    are built once per closure and shared with every other searcher on an
+    equal closure (``_templates``).  The query's own structures (dips,
+    lead calls, tails and bottoms), the seeds, tokens, the visited set and
+    the stats belong to this run.  A state looks its candidates up by the
+    atom it emits next, checks them as templates and stamps a combination
+    with fresh tokens only when it joins.
+    """
+
+    def __init__(
+        self,
+        closure: Sequence[SubFunction],
+        query: AtomicQuery,
+        modes: Sequence[str] = ("bounded", "loose"),
+        max_depth: int = 64,
+        max_plans: int = 10000,
+        deadline: Optional[float] = None,
+        single: bool = False,
+        emit_gate: Optional[Callable] = None,
+    ):
+        self.closure = list(closure)
+        self.query = query
+        self.modes = tuple(modes)
+        self.max_depth = max_depth
+        self.max_plans = max_plans
+        self.deadline = deadline
+        self.single = single
+        self.emit_gate = emit_gate
+        self.visited = set()
+        self.stats = _SearchStats()
+        self.results: List[tuple] = []
+        self._token_counter = itertools.count()
+        templates = _templates(tuple(self.closure))
+        self._enders = templates.enders
+        self._beginners = templates.beginners
+        self._valleys = templates.valleys
+        self._designated = templates.designated
+        self._pairs = templates.pairs
+
+    def run(self):
+        try:
+            for members, recs, obligation, mode in self._seeds():
+                self._search(frozenset(members), 1, recs, obligation, mode, [])
+        except _StopSearch:
+            return
+
+    def _stamp(self, structure: _Structure, entry: int, members: list, recs: list, obligation):
+        """Give each call of the structure, in call order, the entry scan and
+        a fresh token (an ascent takes its obligation's), adding its members
+        and records; returns the obligation once the structure has joined."""
+        for call in structure.calls:
+            if call.continues:
+                tok = obligation.token
+                obligation = replace(obligation, enter_scan=-1)
+            else:
+                tok = next(self._token_counter)
+            members.extend(_at(m, m.index, tok) for m in call.members)
+            recs.append(_CallRec(tok, call.view, entry, call.parts))
+            if call.ascent is not None:
+                obligation = _Obligation(tok, call.view, call.ascent, entry + call.ascent_after)
+        return obligation
+
+    # -- the query's own structures -------------------------------------------
+
     def _lead_calls(self):
         """The loose-mode first call, which also carries the leading query
         atom."""
@@ -584,14 +633,29 @@ class _Searcher:
         single_extras = [s for s in map(_structure, self._dip_calls()) if s is not None]
         single_extras += self._valleys.all
         lead = [s for s in map(_structure, self._lead_calls()) if s is not None]
+        # Seed-ordered candidates per atom the bottom emits, sorted once per
+        # run: the extras, led by None for no extra, and the designated
+        # options (the lead calls in loose mode).
+        extras = {}
+        orders = {True: {}, False: {}}
         for mode in self.modes:
-            designated = lead if mode == "loose" else self._designated.all
+            loose = mode == "loose"
+            designated = lead if loose else self._designated.all
+            options = orders[loose]
             for bottom, crosses in self._bottoms(mode):
                 if bottom is None:
                     continue
-                for extra, des in self._seed_combos(
-                    mode, bottom, crosses, single_extras, designated
-                ):
+                want = bottom.emission
+                if want not in options:
+                    options[want] = _seed_order(designated, want)
+                extra_list = (None,)
+                if not crosses:
+                    extra_list = extras.get(want)
+                    if extra_list is None:
+                        extra_list = extras[want] = [None] + _seed_order(
+                            single_extras + self._pairs(want), want
+                        )
+                for extra, des in self._seed_combos(mode, bottom, extra_list, options[want]):
                     members, ex_recs, des_recs, bottom_recs = [], [], [], []
                     ascent = des.calls[0].continues
                     ob = None
@@ -604,25 +668,20 @@ class _Searcher:
                         ob = self._stamp(des, 1, members, des_recs, ob)
                     yield members, des_recs + bottom_recs + ex_recs, ob, mode
 
-    def _seed_combos(self, mode, bottom, crosses, single_extras, designated):
+    @staticmethod
+    def _seed_combos(mode, bottom, extra_list, options):
         """(extra, designated) structures that form a state with the bottom.
 
-        At most one extra joins: a one-call extra or a beginner-ender pair.
-        An obligation the bottom opens at scan 1 must be consumed there: its
-        ascent is then the only designated option.  Candidates are taken in
-        seed order (``_seed_order``).
+        At most one extra joins: None, a one-call extra or a beginner-ender
+        pair from ``extra_list``.  An obligation the bottom opens at scan 1
+        must be consumed there: its ascent is then the only designated
+        option.  Candidates are taken in seed order (``_seed_order``).
         """
-        want = bottom.emission
         turn = next((c for c in bottom.calls if c.ascent is not None), None)
         if turn is not None and turn.ascent_after == 0:
             if mode == "loose":
                 return  # the lead call must own the first designated piece
             options = [_ascent(turn.view, turn.ascent)]
-        else:
-            options = _seed_order(designated, want)
-        extra_list = [None]
-        if not crosses:
-            extra_list += _seed_order(single_extras + self._pairs(want), want)
         for extra in extra_list:
             if extra is not None and extra.opens and bottom.opens:
                 continue  # at most one pending obligation
@@ -735,10 +794,10 @@ class _Searcher:
 
     def _search(self, members, scan, recs, obligation, mode, stack):
         if self.deadline is not None and time.monotonic() > self.deadline:
-            self.stats.truncated = True
+            self.stats.cause = "deadline"
             raise _StopSearch
         if scan > self.max_depth:
-            self.stats.truncated = True
+            self.stats.cause = "depth"
             return
         if obligation is not None and 0 <= obligation.enter_scan < scan:
             return
@@ -869,7 +928,7 @@ class _Searcher:
         if self.single:
             raise _StopSearch
         if self.stats.plans_emitted >= self.max_plans:
-            self.stats.truncated = True
+            self.stats.cause = "plan cap"
             raise _StopSearch
 
     def _assemble(self, recs: List[_CallRec], mode: str) -> Optional[tuple]:
@@ -969,13 +1028,6 @@ class _Searcher:
         f_entry, f = fwd[0]
         start = f_entry + 1 - f.idx0
         return (start, start + len(f.window))
-
-
-class _SmartSearcher(_Searcher):
-    """The bounded and loose seeds plus the two smart shapes whose final
-    call runs past the query atom, so one run yields every smart core."""
-
-    modes = ("bounded", "loose", "inverse", "to1")
 
 
 # -- public enumeration API --------------------------------------------------
@@ -1113,9 +1165,15 @@ def enumerate_minimal_weakly_smart(
 
 @dataclass
 class FindResult:
+    """Find-one's answer.  ``truncated`` marks a search cut short, with
+    ``cause`` naming the last cut ("deadline" or "depth"): then a missing
+    hit does not mean that no plan exists."""
+
     hit: Optional[PlanHit]
     states_visited: int
     state_bound: int
+    truncated: bool = False
+    cause: Optional[str] = None
 
 
 def find_one_weakly_smart(
@@ -1152,14 +1210,12 @@ def find_one_weakly_smart(
         emit_gate=weak,
     )
     searcher.run()
+    hit = None
     if searcher.results:
         views = minimize_views(searcher.results[0][0], query)
-        return FindResult(
-            PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query)),
-            searcher.stats.states_visited,
-            bound,
-        )
-    return FindResult(None, searcher.stats.states_visited, bound)
+        hit = PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
+    stats = searcher.stats
+    return FindResult(hit, stats.states_visited, bound, stats.truncated, stats.cause)
 
 
 def _shape_of(views: Sequence[SubFunction], query: AtomicQuery) -> str:
@@ -1417,8 +1473,15 @@ def enumerate_minimal_smart(
         if v.skeleton == (rel,):
             consider((v,), "trivial")
 
-    searcher = _SmartSearcher(
-        closure, query, max_depth=max_depth, max_plans=max_plans, deadline=deadline
+    # The weak seed modes plus the two shapes whose final call runs past
+    # the query atom, so one run yields every smart core.
+    searcher = _Searcher(
+        closure,
+        query,
+        modes=("bounded", "loose", "inverse", "to1"),
+        max_depth=max_depth,
+        max_plans=max_plans,
+        deadline=deadline,
     )
     searcher.run()
     # Bounded cores: search results and single calls.  One ending with the

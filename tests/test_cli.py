@@ -196,3 +196,21 @@ def test_real_sample_catalog_parses(capsys):
         "--query", "diedOnDate", "--mode", "smart",
     )
     assert code in (0, 3)
+
+
+def test_plans_one_notes_truncation(tmp_path, capsys):
+    # The deadline passes before the search starts: no plan, exit code 3,
+    # and a stderr note says the search was cut rather than finished.
+    from pathplan import dsl
+    from pathplan.synth import SynthConfig, gen_catalog
+
+    path = tmp_path / "heavy.cat"
+    path.write_text(dsl.serialize_catalog(gen_catalog(SynthConfig(4, 30, 3, seed=0))))
+    argv = ["plans", "--functions", str(path), "--query", "r3^-", "--mode", "one"]
+    assert main(argv + ["--timeout", "1e-9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "note: search truncated (deadline)\n"
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "f13" in captured.out and captured.err == ""

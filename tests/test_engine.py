@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -22,15 +23,19 @@ from pathplan import (
     state_consistent,
     susie_plans,
 )
-from pathplan import characterize
+from pathplan import characterize, engine
 from pathplan.characterize import SMART, weakly_smart_skeleton
+from pathplan.dsl import parse_catalog, serialize_catalog, serialize_plan
 from pathplan.engine import (
     EmptyCatalogError,
     NotWeaklySmartError,
     _may_be_weak,
     _Searcher,
+    smart_plan_exists,
 )
 from pathplan.synth import SynthConfig, gen_catalog
+
+from test_acceptance import _no_existential_catalogs
 
 from util import (
     brute_force_minimal_weak,
@@ -446,3 +451,125 @@ def test_plan_cap_sets_truncated():
     searcher.run()
     assert len(searcher.results) == 1
     assert searcher.stats.truncated
+
+
+def test_find_one_reports_truncation():
+    # An expired deadline stops the search before its first state: no
+    # plan, and the result says the search did not finish.
+    q = AtomicQuery(Atom("r3", True), "a")
+    cat = gen_catalog(SynthConfig(4, 30, 3, seed=0))
+    cut = find_one_weakly_smart(q, cat, deadline=time.monotonic() - 1.0)
+    assert cut.hit is None and cut.states_visited == 0
+    assert cut.truncated and cut.cause == "deadline"
+    full = find_one_weakly_smart(q, cat)
+    assert [v.name for v in full.hit.views] == ["f13", "f11", "f3"]
+    assert not full.truncated and full.cause is None
+
+
+# -- the per-closure template cache ---------------------------------------------
+
+
+def _answers(q, cat, kinds=("weak", "smart", "one")):
+    """Serialized weak and smart enumerations and find-one's plan and
+    state count."""
+    out = []
+    if "weak" in kinds:
+        out += [(h.shape, serialize_plan(h.plan)) for h in enumerate_minimal_weakly_smart(q, cat)]
+    if "smart" in kinds:
+        out += [(h.kind, serialize_plan(h.plan)) for h in enumerate_minimal_smart(q, cat)]
+    if "one" in kinds:
+        found = find_one_weakly_smart(q, cat)
+        out.append((found.hit and serialize_plan(found.hit.plan), found.states_visited))
+    return out
+
+
+def _cold_answers(q, cat, kinds=("weak", "smart", "one")):
+    engine._templates.cache_clear()
+    return _answers(q, cat, kinds)
+
+
+def test_template_cache_keys_on_bodies_and_outputs():
+    # The same function names and view keys with two bodies swapped, and
+    # one output list changed: every catalog keeps its own templates, and
+    # its plans are those of a cold cache.
+    base = fig1_catalog()
+    company, hierarchy, education = base
+    other_body = [
+        fn(company.name, education.skeleton),
+        hierarchy,
+        fn(education.name, company.skeleton),
+    ]
+    other_outputs = [company, fn(hierarchy.name, hierarchy.skeleton, (2,)), education]
+    catalogs = [base, other_body, other_outputs]
+    queries = [
+        AtomicQuery(Atom(b, inv), "a")
+        for b in ("worksFor", "jobTitle", "graduatedFrom")
+        for inv in (False, True)
+    ]
+    cold = [[_cold_answers(q, cat) for q in queries] for cat in catalogs]
+    assert cold[0] != cold[1] and cold[0] != cold[2]
+    engine._templates.cache_clear()
+    for _ in range(2):
+        # Query by query, so the catalogs' entries alternate.
+        warm = [[_answers(q, cat) for cat in catalogs] for q in queries]
+        assert warm == [list(col) for col in zip(*cold)]
+    closures = [tuple(catalog_closure(cat)) for cat in catalogs]
+    assert len({id(engine._templates(c)) for c in closures}) == 3
+    assert [engine._templates(c).closure for c in closures] == closures
+
+
+def test_template_cache_builds_once_per_catalog(tmp_path):
+    # The four oriented queries of one catalog, in every mode, and the same
+    # catalog file parsed twice, build the tables once.
+    cat = gen_catalog(SynthConfig(2, 6, 3, seed=20183))
+    queries = _oriented_queries(cat)
+    assert len(queries) == 4
+    engine._templates.cache_clear()
+    with count_calls(engine, "_Templates") as built, count_calls(engine, "_templates") as asked:
+        for q in queries:
+            enumerate_minimal_smart(q, cat)
+            find_one_weakly_smart(q, cat)
+            smart_plan_exists(q, cat)
+    assert built.calls == 1 and asked.calls >= 8
+    path = tmp_path / "c.cat"
+    path.write_text(serialize_catalog(cat))
+    parsed = [list(parse_catalog(path.read_text())) for _ in range(2)]
+    assert parsed[0] == parsed[1] and parsed[0][0] is not parsed[1][0]
+    engine._templates.cache_clear()
+    with count_calls(engine, "_Templates") as built:
+        answers = [[_answers(q, c, ("smart",)) for q in queries] for c in parsed]
+    assert built.calls == 1
+    assert answers[0] == answers[1] == [_cold_answers(q, cat, ("smart",)) for q in queries]
+
+
+def test_template_cache_warm_matches_cold(monkeypatch):
+    # Every answer with a warm cache, catalogs interleaved so that entries
+    # are evicted and rebuilt mid-run, equals the answer computed after
+    # clearing the cache.
+    # The criterion-5 corpus opens with its 696 exhaustive catalogs.
+    catalogs = list(itertools.islice(_no_existential_catalogs(), 696))
+    catalogs += [_differential_catalog(t) for t in range(250, 300)]
+    assert len(catalogs) == 746
+    tasks = [(i, q, kind) for i, cat in enumerate(catalogs) for q in _oriented_queries(cat)
+             for kind in ("weak", "smart", "one")]
+    cold = {task: _cold_answers(task[1], catalogs[task[0]], (task[2],)) for task in tasks}
+    rng = random.Random(7)
+    order = []
+    window = 2 * engine._templates.cache_info().maxsize
+    for start in range(0, len(catalogs), window):
+        chunk = [t for t in tasks if start <= t[0] < start + window]
+        rng.shuffle(chunk)
+        order += chunk
+    built = []
+    build = engine._Templates
+
+    def record(closure):
+        built.append(closure)
+        return build(closure)
+
+    monkeypatch.setattr(engine, "_Templates", record)
+    engine._templates.cache_clear()
+    with count_calls(engine, "_templates") as asked:
+        warm = {task: _answers(task[1], catalogs[task[0]], (task[2],)) for task in order}
+    assert warm == cold
+    assert len(set(built)) < len(built) < asked.calls  # rebuilt after eviction, reused
