@@ -35,7 +35,6 @@ from .characterize import (
     is_smart,
     is_weakly_smart,
     is_well_filtering,
-    minimal_filtering_plan,
     weakly_smart_semantics,
     weakly_smart_skeleton,
 )
@@ -51,7 +50,6 @@ from .engine import (
     enumerate_minimal_weakly_smart,
     find_one_weakly_smart,
     has_trivial_equivalent_rewriting,
-    minimize_plan,
     search_successors,
     state_consistent,
     susie_plans,

@@ -28,7 +28,6 @@ from .model import (
     constraint_free_core,
     plan_semantics,
     reduce_plan,
-    strip_filters,
     sub_function_transformation,
 )
 
@@ -247,28 +246,6 @@ def _has_query_atom_at_output(sem: PathSemantics, query: AtomicQuery) -> bool:
         if out + 1 in filtered:
             return True
     return False
-
-
-def minimal_filtering_plan(plan: ExecutionPlan, query: AtomicQuery) -> ExecutionPlan:
-    """Canonical single-filter form used by the smartness decision.
-
-    Strips all filters; if the result is already well-filtering it stands.
-    Otherwise one filter on the query constant is placed at the greatest
-    call and greatest output variable that yields a well-filtering plan.
-    Returns the plan unchanged when no placement works.
-    """
-    stripped = strip_filters(plan)
-    if is_well_filtering(stripped, query):
-        return stripped
-    for i in range(len(plan.calls) - 1, -1, -1):
-        call = plan.calls[i]
-        for name in reversed(call.outputs):
-            candidate = ExecutionPlan(
-                stripped.calls, ((name, query.constant),), stripped.output
-            )
-            if is_well_filtering(candidate, query):
-                return candidate
-    return plan
 
 
 def _filter_is_safe(sem: PathSemantics, query: AtomicQuery, pos: int) -> bool:

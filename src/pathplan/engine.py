@@ -31,6 +31,12 @@ valley and designated tables and the beginner-ender pairs) are built once
 per closure value and shared by every query and seed mode on an equal
 closure, through a small LRU cache.  They hold no query, token or search
 state, so results never depend on what the cache holds.
+
+A smart plan is a bounded core plus one filter on the query constant inside
+a query atom next to the output.  The one shape a call sequence can take is
+read off its last call (``_smart_shape``).  Smart enumeration and
+``smart_plan_exists`` run the same search, seeded in four modes, and decide
+its results by that shape and one memo of bounded cores per query.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from .characterize import is_bounded, weakly_smart_skeleton
 from .model import (
     AtomicQuery,
     ExecutionPlan,
-    ModelError,
     PathFunction,
     SubFunction,
     catalog_closure,
@@ -472,6 +477,10 @@ class _StopSearch(Exception):
 
 # Where the walk of a seed's plan ends: at 0 past the query atom, or at 1.
 _WALK_END = {"bounded": 0, "inverse": 0, "loose": 1, "to1": 1}
+
+# The smart search's seed modes: the weak ones, whose results serve as
+# cores, then the two whose final call runs past the query atom.
+_SMART_MODES = ("bounded", "loose", "inverse", "to1")
 
 
 class _Searcher:
@@ -1059,18 +1068,27 @@ def _weak_gate(query: AtomicQuery) -> Callable:
     return weak
 
 
-def _is_minimal_weak(views: Sequence[SubFunction], weak: Callable) -> bool:
-    views = tuple(views)
-    n = len(views)
-    if n > 14:
+def _bounded_gate(query: AtomicQuery) -> Callable:
+    """Is a core skeleton bounded for ``query``?  Each skeleton's verdict
+    is remembered for as long as the gate is kept."""
+    verdicts = {}
+
+    def bounded(skeleton: tuple) -> bool:
+        verdict = verdicts.get(skeleton)
+        if verdict is None:
+            verdict = verdicts[skeleton] = is_bounded(skeleton, query) is not None
+        return verdict
+
+    return bounded
+
+
+def _is_minimal_weak(views: tuple, query: AtomicQuery, weak: Callable) -> bool:
+    """No proper subsequence of the weakly smart ``views`` is weakly smart."""
+    if len(views) > 14:
         # Exhaustive subsequences explode; the embedding filter against
         # shorter accepted plans covers long candidates.
         return True
-    for size in range(1, n):
-        for combo in itertools.combinations(range(n), size):
-            if weak(tuple(views[i] for i in combo)):
-                return False
-    return True
+    return len(minimize_views(views, query, weak)) == len(views)
 
 
 def _embeds(small: Sequence[SubFunction], big: Sequence[SubFunction], weaken: bool) -> bool:
@@ -1088,7 +1106,7 @@ def _embeds(small: Sequence[SubFunction], big: Sequence[SubFunction], weaken: bo
     return i == len(small)
 
 
-def _minimal_filter(candidates, query, weaken, explicit_check):
+def _minimal_filter(candidates, weaken, explicit_check):
     """Keep candidates no accepted smaller plan embeds into.
 
     Candidates are processed shortest first, so any plan witnessing a
@@ -1121,7 +1139,6 @@ def enumerate_minimal_weakly_smart(
     query: AtomicQuery,
     catalog: Sequence[PathFunction],
     max_plans: int = 10000,
-    max_depth: int = 64,
     deadline: Optional[float] = None,
 ) -> List[PlanHit]:
     """All minimal weakly smart plans, deduplicated and sorted.
@@ -1139,7 +1156,6 @@ def enumerate_minimal_weakly_smart(
     searcher = _Searcher(
         [v for v in closure if not weak((v,))],
         query,
-        max_depth=max_depth,
         max_plans=max_plans,
         deadline=deadline,
         emit_gate=weak,
@@ -1151,9 +1167,8 @@ def enumerate_minimal_weakly_smart(
     hits = {tuple(v.key for v in views): views for views in raw}
     minimal = _minimal_filter(
         list(hits.values()),
-        query,
         weaken=False,
-        explicit_check=lambda vs: _is_minimal_weak(vs, weak),
+        explicit_check=lambda vs: _is_minimal_weak(vs, query, weak),
     )
     out = [
         PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
@@ -1179,7 +1194,6 @@ class FindResult:
 def find_one_weakly_smart(
     query: AtomicQuery,
     catalog: Sequence[PathFunction],
-    max_depth: int = 64,
     deadline: Optional[float] = None,
 ) -> FindResult:
     """First weakly smart plan found, minimized; visits each state once.
@@ -1203,7 +1217,6 @@ def find_one_weakly_smart(
     searcher = _Searcher(
         closure,
         query,
-        max_depth=max_depth,
         max_plans=1,
         deadline=deadline,
         single=True,
@@ -1212,7 +1225,7 @@ def find_one_weakly_smart(
     searcher.run()
     hit = None
     if searcher.results:
-        views = minimize_views(searcher.results[0][0], query)
+        views = minimize_views(searcher.results[0][0], query, weak)
         hit = PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
     stats = searcher.stats
     return FindResult(hit, stats.states_visited, bound, stats.truncated, stats.cause)
@@ -1239,14 +1252,12 @@ def _may_be_weak(head: tuple, last, query: AtomicQuery) -> bool:
     )
 
 
-def minimize_views(views: Sequence[SubFunction], query: AtomicQuery) -> tuple:
+def minimize_views(views: tuple, query: AtomicQuery, weak: Callable) -> tuple:
     """Smallest weakly smart subsequence, searched by increasing size.
 
-    A subsequence is gated only when the atoms of its first and last calls
-    pass ``_may_be_weak``.
+    A subsequence is gated by ``weak`` (``_weak_gate``) only when the atoms
+    of its first and last calls pass ``_may_be_weak``.
     """
-    views = tuple(views)
-    weak = _weak_gate(query)
     for size in range(1, len(views) + 1):
         for combo in itertools.combinations(range(len(views)), size):
             head = views[combo[0]].skeleton[:2]
@@ -1258,14 +1269,6 @@ def minimize_views(views: Sequence[SubFunction], query: AtomicQuery) -> tuple:
             if weak(sub):
                 return sub
     raise NotWeaklySmartError("no weakly smart subsequence")
-
-
-def minimize_plan(plan: ExecutionPlan, query: AtomicQuery) -> ExecutionPlan:
-    """Extract a minimal weakly smart plan from a weakly smart one."""
-    views = tuple(c.view for c in plan.calls)
-    if not weakly_smart_skeleton(_concat_skeleton(views), query):
-        raise NotWeaklySmartError("plan is not weakly smart")
-    return chain_plan(minimize_views(views, query), query.constant)
 
 
 def has_trivial_equivalent_rewriting(
@@ -1333,59 +1336,71 @@ def _is_tail(view: SubFunction, query: AtomicQuery) -> bool:
 def _past_query_views(closure: Sequence[SubFunction], query: AtomicQuery) -> list:
     """Two-output views ending with the query atom then its inverse; the
     filter sits past the output, so their cores stop one atom early."""
+    ending = (query.relation, query.relation.invert())
+    return [v for v in closure if v.skeleton[-2:] == ending and _two_output_able(v)]
+
+
+def _smart_shape(views: tuple, query: AtomicQuery) -> Optional[tuple]:
+    """The one smart shape a call sequence can have, read off its last
+    call: ``(kind, core skeleton)``, or None when no filter fits.
+
+    - ``(rel)`` alone is ``trivial``, with no core;
+    - a two-output last call ending with ``rel`` is ``terminal``: the core
+      is the whole skeleton, the filter on the pair's first variable;
+    - a last call ``(rel^-)`` after other calls is ``appended-inverse``:
+      the core stops before it, the filter on its output;
+    - a two-output last call ending with ``rel.rel^-`` is
+      ``inverse-terminal``: the core stops one atom early, the filter on
+      the pair's second variable.
+    """
     rel = query.relation
-    return [
-        v
-        for v in closure
-        if len(v) >= 2 and v.skeleton[-2:] == (rel, rel.invert()) and _two_output_able(v)
-    ]
-
-
-def _smart_plan_terminal(views, constant, filter_on_last_var=False):
-    """Chain with a two-output final call, filtering one of the pair."""
-    plan = chain_plan(views, constant, two_output_last=True)
-    pair = plan.calls[-1].outputs
-    if filter_on_last_var:
-        return ExecutionPlan(plan.calls, ((pair[1], constant),), pair[0])
-    return ExecutionPlan(plan.calls, ((pair[0], constant),), pair[1])
-
-
-def _smart_plan_appended_inverse(views, constant):
-    plan = chain_plan(views, constant)
-    last_var = plan.calls[-1].outputs[-1]
-    prev_var = plan.calls[-2].outputs[-1]
-    return ExecutionPlan(plan.calls, ((last_var, constant),), prev_var)
-
-
-def _smartable(views: Sequence[SubFunction], query: AtomicQuery) -> bool:
-    """Can some filter placement make this call sequence a smart plan?"""
-    rel = query.relation
-    views = tuple(views)
-    skeleton = _concat_skeleton(views)
     last = views[-1]
-    if len(views) == 1 and last.skeleton == (rel,):
-        return True
-    if last.skeleton[-1] == rel:
-        filterable = (len(last) == 1 and len(views) >= 2) or _two_output_able(last)
-        if filterable and is_bounded(skeleton, query) is not None:
-            return True
-    if last.skeleton == (rel.invert(),) and len(views) >= 2:
-        if is_bounded(skeleton[:-1], query) is not None:
-            return True
-    if (
-        len(last) >= 2
-        and last.skeleton[-2:] == (rel, rel.invert())
-        and _two_output_able(last)
-    ):
-        if is_bounded(skeleton[:-1], query) is not None:
-            return True
-    if last.skeleton == (rel.invert(), rel) and _two_output_able(last):
-        if is_bounded(skeleton[:-2], query) is not None:
-            return True
-    return False
+    sk = last.skeleton
+    if sk == (rel,):
+        return ("trivial", None) if len(views) == 1 else None
+    inverse = rel.invert()
+    if sk == (inverse,):
+        if len(views) == 1:
+            return None
+        kind, drop = "appended-inverse", 1
+    elif not _two_output_able(last):
+        return None
+    elif sk[-1] == rel:
+        kind, drop = "terminal", 0
+    elif sk[-2:] == (rel, inverse):
+        kind, drop = "inverse-terminal", 1
+    else:
+        return None
+    skeleton = _concat_skeleton(views)
+    return kind, skeleton[: len(skeleton) - drop]
 
 
-def _is_minimal_smart(views: Sequence[SubFunction], query: AtomicQuery) -> bool:
+def _smartable(views: tuple, query: AtomicQuery, bounded: Callable) -> Optional[str]:
+    """The kind of this call sequence's shape when its core is bounded
+    (``bounded`` is the query's ``_bounded_gate``), else None."""
+    shape = _smart_shape(views, query)
+    if shape is None:
+        return None
+    kind, core = shape
+    return kind if core is None or bounded(core) else None
+
+
+def _smart_plan(views: tuple, kind: str, constant: str) -> ExecutionPlan:
+    """The chained plan of smart shape ``kind`` on a call sequence, with
+    its one filter on ``constant``."""
+    if kind == "trivial":
+        return chain_plan(views, constant)
+    if kind == "appended-inverse":
+        plan = chain_plan(views, constant)
+        filtered, output = plan.calls[-1].outputs[-1], plan.calls[-2].outputs[-1]
+    else:
+        plan = chain_plan(views, constant, two_output_last=True)
+        first, second = plan.calls[-1].outputs
+        filtered, output = (first, second) if kind == "terminal" else (second, first)
+    return ExecutionPlan(plan.calls, ((filtered, constant),), output)
+
+
+def _is_minimal_smart(views: tuple, query: AtomicQuery, bounded: Callable) -> bool:
     """No call subsequence, with calls possibly weakened to shorter prefix
     views, admits a smart plan.
 
@@ -1393,7 +1408,6 @@ def _is_minimal_smart(views: Sequence[SubFunction], query: AtomicQuery) -> bool:
     stops at an earlier output can expose a shorter smart plan, and such a
     plan makes the longer one useless.
     """
-    views = tuple(views)
     n = len(views)
     if n > 8:
         # The embedding filter against shorter accepted plans handles long
@@ -1401,7 +1415,7 @@ def _is_minimal_smart(views: Sequence[SubFunction], query: AtomicQuery) -> bool:
         for i in range(n):
             for j in range(i, n):
                 sub = views[:i] + views[j + 1 :]
-                if sub and _smartable(sub, query):
+                if sub and _smartable(sub, query, bounded):
                     return False
         return True
     options = [
@@ -1420,7 +1434,7 @@ def _is_minimal_smart(views: Sequence[SubFunction], query: AtomicQuery) -> bool:
                 if key in tried:
                     continue
                 tried.add(key)
-                if _smartable(weakened, query):
+                if _smartable(weakened, query, bounded):
                     return False
     return True
 
@@ -1429,120 +1443,62 @@ def enumerate_minimal_smart(
     query: AtomicQuery,
     catalog: Sequence[PathFunction],
     max_plans: int = 10000,
-    max_depth: int = 64,
     deadline: Optional[float] = None,
 ) -> List[SmartHit]:
     """All minimal smart plans: a bounded core plus a filter pinned inside
     a query atom adjacent to the output.
 
-    One search yields every core; each plan shape is read off its results:
-    bounded cores (search results and single calls) ending with the query
-    atom, bounded cores extended by a tail call, inverse-mode cores whose
-    final call runs past the query atom, and walks to position 1 closed by
-    a two-atom ``(rel, rel^-)`` call.
+    One search, seeded in the four ``_SMART_MODES``, yields the candidate
+    call sequences: single calls and bounded or loose results, each
+    followed by a tail call, or alone when it has a shape; inverse
+    results, whose final call runs past the query atom; and walks to
+    position 1 closed by a two-atom ``(rel, rel^-)`` call.  A sequence has
+    one shape, read off its last call (``_smart_shape``).
 
-    Shapes are only recorded here, and decided lazily: the minimality
-    filter visits call sequences shortest first, and only a sequence that
-    no accepted plan embeds has its core's boundedness checked, its plan
-    built and ``is_smart`` run on it, one recorded shape at a time in
-    recording order.  The first smart shape is the sequence's kind.
+    Candidates are decided lazily: the minimality filter visits them
+    shortest first, and only a sequence that no accepted plan embeds has
+    its core's boundedness checked (once per core skeleton), its plan
+    built and ``is_smart`` run on it.
     """
     from .characterize import SMART, is_smart
 
     if not catalog:
         raise EmptyCatalogError("no functions")
     closure = catalog_closure(catalog)
-    rel = query.relation
-    const = query.constant
-    build = {
-        "trivial": lambda vs: chain_plan(vs, const),
-        "terminal": lambda vs: _smart_plan_terminal(vs, const),
-        "inverse-terminal": lambda vs: _smart_plan_terminal(vs, const, filter_on_last_var=True),
-        "appended-inverse": lambda vs: _smart_plan_appended_inverse(vs, const),
-    }
-    # Call keys -> the call sequence and its shapes in recording order:
-    # (kind, the skeleton that must be bounded, or None).
-    shapes = {}
-
-    def consider(views, kind, core=None):
-        found = shapes.setdefault(tuple(v.key for v in views), (views, []))[1]
-        if (kind, core) not in found:
-            found.append((kind, core))
-
-    for v in closure:
-        if v.skeleton == (rel,):
-            consider((v,), "trivial")
-
-    # The weak seed modes plus the two shapes whose final call runs past
-    # the query atom, so one run yields every smart core.
     searcher = _Searcher(
-        closure,
-        query,
-        modes=("bounded", "loose", "inverse", "to1"),
-        max_depth=max_depth,
-        max_plans=max_plans,
-        deadline=deadline,
+        closure, query, modes=_SMART_MODES, max_plans=max_plans, deadline=deadline
     )
     searcher.run()
-    # Bounded cores: search results and single calls.  One ending with the
-    # query atom is a plan once its final call exposes the filtered
-    # variable; any of them is a plan once a tail call follows it.
     tails = [t for t in closure if _is_tail(t, query)]
-    cores = [views for views, mode in searcher.results if mode in ("bounded", "loose")]
-    cores += [(v,) for v in closure]
-    for views in cores:
-        last = views[-1]
-        if len(last) >= 2 and last.skeleton[-1] == rel and _two_output_able(last):
-            consider(views, "terminal", _concat_skeleton(views))
-    for views in cores:
-        for t in tails:
-            kind = "appended-inverse" if len(t) == 1 else "terminal"
-            consider(views + (t,), kind, _concat_skeleton(views))
-
-    # Final calls running past the query atom to its inverse: the core
-    # stops one atom early and the filter sits past the output.
-    past = _past_query_views(closure, query)
-    for f in past:
-        if len(f) > 2:
-            consider((f,), "inverse-terminal", f.skeleton[:-1])
-    pairs = [f for f in past if len(f) == 2]
+    pairs = [f for f in _past_query_views(closure, query) if len(f) == 2]
+    cores = [(v,) for v in closure]
+    cores += [views for views, mode in searcher.results if mode in ("bounded", "loose")]
+    # A core without a shape of its own is a candidate only with a tail.
+    candidates = [views for views in cores if _smart_shape(views, query)]
+    candidates += [views + (t,) for views in cores for t in tails]
     for views, mode in searcher.results:
         if mode == "inverse":
-            consider(views, "inverse-terminal", _concat_skeleton(views)[:-1])
+            candidates.append(views)
         elif mode == "to1":
-            for f in pairs:
-                consider(views + (f,), "inverse-terminal", _concat_skeleton(views) + (rel,))
-
-    bounded = {}  # core skeleton -> is it bounded
+            candidates += [views + (f,) for f in pairs]
+    unique = {tuple(v.key for v in views): views for views in candidates}
+    bounded = _bounded_gate(query)
     hits = {}
 
     def smart_and_minimal(views):
-        """Is the first smart shape of a call sequence minimal?  Records
-        that shape's hit."""
-        tried = set()
-        for kind, core in shapes[tuple(v.key for v in views)][1]:
-            if core is not None:
-                if core not in bounded:
-                    bounded[core] = is_bounded(core, query) is not None
-                if not bounded[core]:
-                    continue
-            if kind in tried:
-                continue  # this kind's plan is already known not to be smart
-            tried.add(kind)
-            try:
-                plan = build[kind](views)
-            except ModelError:
-                continue  # the final call cannot bind the filtered variable
-            if is_smart(plan, query).level == SMART:
-                hits[views] = SmartHit(plan, views, kind)
-                return _is_minimal_smart(views, query)
-        return False
+        """Is the call sequence a smart plan, and minimal?  Records the
+        hit of a smart one."""
+        kind = _smartable(views, query, bounded)
+        if kind is None:
+            return False
+        plan = _smart_plan(views, kind, query.constant)
+        if is_smart(plan, query).level != SMART:
+            return False
+        hits[views] = SmartHit(plan, views, kind)
+        return _is_minimal_smart(views, query, bounded)
 
     minimal = _minimal_filter(
-        [views for views, _ in shapes.values()],
-        query,
-        weaken=True,
-        explicit_check=smart_and_minimal,
+        list(unique.values()), weaken=True, explicit_check=smart_and_minimal
     )
     out = [hits[views] for views in minimal]
     out.sort(key=lambda h: (tuple(v.name for v in h.views), h.kind))
@@ -1554,22 +1510,32 @@ def smart_plan_exists(
     catalog: Sequence[PathFunction],
     deadline: Optional[float] = None,
 ) -> bool:
-    """Does a smart plan exist?  One single-mode search over the shapes
-    ``enumerate_minimal_smart`` reads off its cores: a call sequence that
-    ``_smartable`` accepts, or any bounded core when a tail call exists."""
+    """Does a smart plan exist?
+
+    Runs ``enumerate_minimal_smart``'s search in single mode.  A result is
+    accepted when it, or it followed by a tail call or by a two-atom
+    ``(rel, rel^-)`` call, has a shape (``_smart_shape``) with a bounded
+    core.  Single calls are checked the same way only when the search
+    finds nothing.
+    """
     closure = catalog_closure(catalog)
-    rel = query.relation
-    if any(v.skeleton == (rel,) for v in closure):
+    if any(v.skeleton == (query.relation,) for v in closure):
         return True
-    tails = any(_is_tail(v, query) for v in closure)
+    finals = [()] + [(t,) for t in closure if _is_tail(t, query)]
+    finals += [(f,) for f in _past_query_views(closure, query) if len(f) == 2]
+    bounded = _bounded_gate(query)
 
     def gate(views):
-        if _smartable(views, query):
-            return True
-        return tails and is_bounded(_concat_skeleton(views), query) is not None
+        return any(_smartable(views + final, query, bounded) for final in finals)
 
     searcher = _Searcher(
-        closure, query, max_plans=1, deadline=deadline, single=True, emit_gate=gate
+        closure,
+        query,
+        modes=_SMART_MODES,
+        max_plans=1,
+        deadline=deadline,
+        single=True,
+        emit_gate=gate,
     )
     searcher.run()
     # The search answers most queries; single calls are checked only when
@@ -1605,7 +1571,7 @@ def susie_plans(query: AtomicQuery, catalog: Sequence[PathFunction]) -> List[Sma
                 key = tuple(v.key for v in views)
                 if key not in out:
                     out[key] = SmartHit(
-                        _smart_plan_terminal(views, query.constant), views, "terminal"
+                        _smart_plan(views, "terminal", query.constant), views, "terminal"
                     )
                 return
             for w in closure:

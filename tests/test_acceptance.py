@@ -249,7 +249,7 @@ def _no_existential_catalogs():
 
 
 def test_criterion_5_susie_limited_completeness():
-    from pathplan.engine import _is_minimal_smart
+    from pathplan.engine import _bounded_gate, _is_minimal_smart
 
     start = time.monotonic()
     mismatches = 0
@@ -267,7 +267,7 @@ def test_criterion_5_susie_limited_completeness():
                 susie = {
                     tuple(v.key for v in h.views)
                     for h in susie_plans(query, cat)
-                    if _is_minimal_smart(h.views, query)
+                    if _is_minimal_smart(h.views, query, _bounded_gate(query))
                 }
                 checked += 1
                 if smart != susie:

@@ -15,7 +15,6 @@ from pathplan import (
     is_smart,
     is_weakly_smart,
     is_well_filtering,
-    minimal_filtering_plan,
     weakly_smart_semantics,
 )
 from pathplan.characterize import BACKWARD, FORWARD, NOT_WEAKLY_SMART, SMART, WEAKLY_SMART_ONLY
@@ -160,23 +159,6 @@ def test_is_well_filtering():
     assert not is_well_filtering(wrong, q)
     unfiltered = ExecutionPlan(pi1.calls, (), pi1.output)
     assert not is_well_filtering(unfiltered, q)
-
-
-def test_minimal_filtering_plan():
-    q = jobtitle_query()
-    pi1, _ = _pi_plans()
-    doubled = ExecutionPlan(pi1.calls, (("v1", "a"), ("v2", "a")), pi1.output)
-    assert minimal_filtering_plan(doubled, q).filters == (("v1", "a"),)
-    unfiltered = ExecutionPlan(pi1.calls, (), pi1.output)
-    assert minimal_filtering_plan(unfiltered, q).filters == (("v1", "a"),)
-
-
-def test_minimal_filtering_plan_fallback():
-    # No query atom adjacent to any candidate variable: plan returned as-is.
-    q = jobtitle_query()
-    g = fn("g", [Atom("worksFor")])
-    plan = chain_plan([SubFunction(g, 1)], "a", filters=(("v0", "a"),))
-    assert minimal_filtering_plan(plan, q) == plan
 
 
 def test_is_smart_levels():

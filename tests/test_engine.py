@@ -18,7 +18,6 @@ from pathplan import (
     has_trivial_equivalent_rewriting,
     is_smart,
     is_weakly_smart,
-    minimize_plan,
     search_successors,
     state_consistent,
     susie_plans,
@@ -28,7 +27,6 @@ from pathplan.characterize import SMART, weakly_smart_skeleton
 from pathplan.dsl import parse_catalog, serialize_catalog, serialize_plan
 from pathplan.engine import (
     EmptyCatalogError,
-    NotWeaklySmartError,
     _may_be_weak,
     _Searcher,
     smart_plan_exists,
@@ -222,24 +220,6 @@ def test_susie_plans_are_smart():
                     assert is_smart(hit.plan, q).level == SMART
 
 
-def test_minimize_plan():
-    r = Atom("r")
-    f1, f2 = fn("f1", [r]), fn("f2", [r.invert(), r])
-    q = AtomicQuery(r, "a")
-    plan = chain_plan([SubFunction(f1, 1), SubFunction(f2, 2)], "a")
-    assert [c.view.name for c in minimize_plan(plan, q).calls] == ["f1"]
-    small = chain_plan([SubFunction(f1, 1)], "a")
-    assert minimize_plan(small, q) == small
-
-
-def test_minimize_plan_requires_weakly_smart():
-    q = jobtitle_query()
-    g = fn("g", [Atom("worksFor")])
-    plan = chain_plan([SubFunction(g, 1)], "a")
-    with pytest.raises(NotWeaklySmartError):
-        minimize_plan(plan, q)
-
-
 def test_minimize_outputs_are_minimal():
     rng = random.Random(77)
     for seed in range(30):
@@ -345,14 +325,25 @@ def test_smart_core_need_not_be_minimal_weak():
 
 
 def test_smart_existence_matches_enumeration():
-    from pathplan.synth import smart_plan_exists, vocabulary
-
-    for t in range(250, 300):
-        cat = _differential_catalog(t)
-        for base in vocabulary(cat):
-            for inv in (False, True):
-                q = AtomicQuery(Atom(base, inv), "a")
-                assert bool(enumerate_minimal_smart(q, cat)) == smart_plan_exists(q, cat), (t, q)
+    # Its only plan is inverse-terminal: the final call runs past the query
+    # atom, and the filter sits on its last output.
+    inverse_terminal = list(parse_catalog("g = s\nf = s^- . r . r^- | out 2 3\n"))
+    q = AtomicQuery(Atom("r"), "a")
+    [hit] = enumerate_minimal_smart(q, inverse_terminal)
+    assert hit.kind == "inverse-terminal"
+    assert serialize_plan(hit.plan).splitlines() == [
+        "call g(a -> v0)",
+        "call f(v0 -> v1, v2)",
+        "filter v2 = a",
+        "output v1",
+    ]
+    # Two outputs per function in the exhaustive criterion-5 catalogs, so
+    # terminal plans occur there.
+    catalogs = [inverse_terminal] + [_differential_catalog(t) for t in range(250, 300)]
+    catalogs += itertools.islice(_no_existential_catalogs(), 696)
+    for i, cat in enumerate(catalogs):
+        for q in _oriented_queries(cat):
+            assert bool(enumerate_minimal_smart(q, cat)) == smart_plan_exists(q, cat), (i, q)
 
 
 def _oriented_queries(cat):
