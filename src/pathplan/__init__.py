@@ -25,10 +25,7 @@ from .model import (
     validate_plan,
 )
 from .characterize import (
-    BoundedDecomposition,
-    Step,
     Verdict,
-    WalkDecomposition,
     find_walk,
     is_bounded,
     is_loosely_bounded,
@@ -42,7 +39,6 @@ from .engine import (
     BoundEstimate,
     EmptyCatalogError,
     FindResult,
-    Member,
     PlanHit,
     SmartHit,
     bound_estimate,
@@ -50,8 +46,7 @@ from .engine import (
     enumerate_minimal_weakly_smart,
     find_one_weakly_smart,
     has_trivial_equivalent_rewriting,
-    search_successors,
-    state_consistent,
+    smart_plan_exists,
     susie_plans,
 )
 from .evaluate import (

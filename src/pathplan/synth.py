@@ -171,16 +171,6 @@ class SweepResult:
     query_count: int
 
 
-def _point_job(args):
-    axis, fixed, value, seed, max_length, timeout_ms = args
-    if axis == "relations":
-        cfg = SynthConfig(value, fixed, max_length, seed=_mix_seed(seed, value))
-    else:
-        cfg = SynthConfig(fixed, value, max_length, seed=_mix_seed(seed, value))
-    catalog = gen_catalog(cfg)
-    return answered_fractions(catalog, timeout_ms=timeout_ms)
-
-
 def _mix_seed(seed: int, point: int) -> int:
     return SplitMix64((seed << 20) ^ point).next_u64()
 
@@ -198,26 +188,21 @@ def sweep(
         raise ValueError("axis must be 'relations' or 'functions'")
     if not values:
         raise ValueError("empty sweep range")
-    jobs = [
-        (axis, fixed, value, seed, max_length, timeout_ms)
-        for value in values
-        for seed in range(seeds)
-    ]
-    results = [_point_job(job) for job in jobs]
     rows = []
     timeouts = 0
     query_count = 0
     for value in values:
         merged = {a: [] for a in APPROACHES}
         millis = {a: [] for a in APPROACHES}
-        for (job, res) in zip(jobs, results):
-            if job[2] != value:
-                continue
+        counts = (value, fixed) if axis == "relations" else (fixed, value)
+        for seed in range(seeds):
+            cfg = SynthConfig(*counts, max_length, seed=_mix_seed(seed, value))
+            res = answered_fractions(gen_catalog(cfg), timeout_ms=timeout_ms)
             timeouts += res.timeouts
+            query_count += len(res.millis["weaklySmart"])
             for a in APPROACHES:
                 merged[a].append(res.fractions[a])
                 millis[a].extend(res.millis[a])
-                query_count += len(res.millis[a]) if a == "weaklySmart" else 0
         for a in APPROACHES:
             avg = sum(merged[a]) / len(merged[a])
             med = statistics.median(millis[a]) if millis[a] else 0.0

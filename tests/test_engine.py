@@ -7,7 +7,6 @@ import pytest
 from pathplan import (
     Atom,
     AtomicQuery,
-    Member,
     SubFunction,
     bound_estimate,
     catalog_closure,
@@ -18,8 +17,6 @@ from pathplan import (
     has_trivial_equivalent_rewriting,
     is_smart,
     is_weakly_smart,
-    search_successors,
-    state_consistent,
     susie_plans,
 )
 from pathplan import characterize, engine
@@ -27,9 +24,12 @@ from pathplan.characterize import SMART, weakly_smart_skeleton
 from pathplan.dsl import parse_catalog, serialize_catalog, serialize_plan
 from pathplan.engine import (
     EmptyCatalogError,
+    Member,
     _may_be_weak,
     _Searcher,
+    search_successors,
     smart_plan_exists,
+    state_consistent,
 )
 from pathplan.synth import SynthConfig, gen_catalog
 
@@ -273,19 +273,28 @@ def test_bound_estimate_counts_closure():
 
 
 def test_engine_matches_brute_force_small():
+    # Functions of length up to 5 give turn calls whose descent is two atoms
+    # longer than their ascent, so a forward piece can join between them:
+    # the forward path must follow stamp order (seed 10, r1^-: f1.f6.f4).
+    r1, r2 = Atom("r1"), Atom("r2")
+    cases = [(SynthConfig(3, 4, 3, seed=seed), (r1, r2), 4) for seed in range(25)]
+    cases += [
+        (SynthConfig(2, 6, 5, seed=seed), (r1, r1.invert(), r2, r2.invert()), 3)
+        for seed in range(40)
+    ]
     mismatches = []
-    for seed in range(25):
-        cat = gen_catalog(SynthConfig(3, 4, 3, seed=seed))
-        for base in ("r1", "r2"):
-            q = AtomicQuery(Atom(base), "a")
-            ref = set(brute_force_minimal_weak(q, cat, max_calls=4))
+    for config, atoms, max_calls in cases:
+        cat = gen_catalog(config)
+        for atom in atoms:
+            q = AtomicQuery(atom, "a")
+            ref = set(brute_force_minimal_weak(q, cat, max_calls=max_calls))
             got = {
                 tuple(v.key for v in h.views)
                 for h in enumerate_minimal_weakly_smart(q, cat)
-                if len(h.views) <= 4
+                if len(h.views) <= max_calls
             }
             if got != ref:
-                mismatches.append((seed, base, got ^ ref))
+                mismatches.append((config, atom, got ^ ref))
     assert mismatches == []
 
 
