@@ -3,20 +3,25 @@
 The search scans forward-path positions left to right.  A state is a set of
 positioned function members: forward members emit their current atom and
 count up, backward members emit the inverse of theirs and count down, and
-exactly one forward member is designated as the forward-path builder.  The
+exactly one active forward member is designated as the forward-path
+builder.  The
 search enters only consistent states, whose active members all emit the
 same atom: a state whose advanced members disagree matches no line of
 atoms, so it is dropped before anything joins it.  A backward member
 exhausting means a call starts at the current position; a forward member
 running out means a call ends there.  Minimal plans allow at most one of
 each per state and never repeat a state, which bounds the search and makes
-it terminate on all inputs.
+it terminate on all inputs.  A state is its set of members and nothing
+else.
 
 Functions whose body contains an x.x^- pivot may cross a turning point:
 their two halves enter the state together as a forward and a backward
-member tied to one call.  Calls that dive through the query atom to the
-bottom of the walk align with the first scanned position, so they are
-seeded explicitly rather than discovered mid-scan.
+member tied to one call.  When the descent enters first, the ascent is a
+pending forward member; a turn call's ascent, the forward path's last
+piece, is a pending designated member, which takes over the forward path
+only at the scan where the piece before it ends.  Calls that dive through
+the query atom to the bottom of the walk align with the first scanned
+position, so they are seeded explicitly rather than discovered mid-scan.
 
 Every structure that can join a state (an ender, beginner, valley or
 designated call, a beginner-ender pair, a seed extra) is a template:
@@ -28,8 +33,8 @@ members emit next, in closure order, and runs every check on the
 templates; a combination is stamped with fresh tokens and its entry scan
 only when it joins, so one template can become several calls of a plan.
 A plan is assembled from the stamped records: the forward path's pieces
-in the order they were stamped, then the walk stretches chained from the
-path's top to the walk's end.
+in the order they start, then the walk stretches chained from the path's
+top to the walk's end.
 
 The templates that follow from the closure alone (the ender, beginner,
 valley and designated tables and the beginner-ender pairs) are built once
@@ -171,25 +176,14 @@ def search_successors(members: Iterable[Member]) -> SuccessorRecord:
 @dataclass
 class _CallRec:
     """A stamped call's share of a plan: the atoms it adds to the forward
-    path (0 for none) and the walk positions it spans (None for none).  A
-    turn call whose descent enters first has two records under one token,
-    the descent's stretch and the ascent's atoms."""
+    path (0 for none), the scan its forward piece starts at, and the walk
+    positions it spans (None for none)."""
 
     token: int
     view: SubFunction
     path_atoms: int
+    path_at: int
     stretch: Optional[tuple]
-
-
-@dataclass(frozen=True)
-class _Obligation:
-    """The seed call's ascending half joins as the final designated piece at
-    a fixed scan; enter_scan < 0 marks a consumed obligation."""
-
-    token: int
-    view: SubFunction
-    window: tuple
-    enter_scan: int
 
 
 @dataclass(frozen=True)
@@ -199,36 +193,34 @@ class _Call:
 
     ``stretch`` gives the walk positions the call spans, from start to
     end, as offsets from the scan it enters at; None when it has no walk
-    piece.  ``path_atoms``, the length of its designated window,
-    is what it adds to the forward path.  Calls that reach the query atom
-    (trailing, tail and dip calls) enter only at scan 1, where walk
-    position 0 lies at offset -1.
+    piece.  Calls that reach the query atom (trailing, tail and dip calls)
+    enter only at scan 1, where walk position 0 lies at offset -1.
 
-    A turn call whose descent enters first names its ascending half's
-    ``ascent`` window, which joins ``ascent_after`` scans after the entry
-    as the final designated piece.  A ``continues`` call is such an ascent:
-    it takes the token of the pending obligation's call and consumes it.
+    The call's designated member, if any, is its forward-path piece:
+    ``path_atoms`` is its length and ``path_after`` the scans from the
+    entry until it is active.  A turn call whose descent enters first holds
+    its ascent as a pending designated member, which takes over the forward
+    path when the piece before it ends.
     """
 
     view: SubFunction
     members: tuple
     stretch: Optional[tuple] = None
-    ascent: Optional[tuple] = None
-    ascent_after: int = 0
-    continues: bool = False
     path_atoms: int = field(init=False)
+    path_after: int = field(init=False)
 
     def __post_init__(self):
-        atoms = sum(len(m.atoms) for m in self.members if m.designated)
-        object.__setattr__(self, "path_atoms", atoms)
+        piece = next((m for m in self.members if m.designated), None)
+        object.__setattr__(self, "path_atoms", 0 if piece is None else len(piece.atoms))
+        object.__setattr__(self, "path_after", 0 if piece is None else 1 - piece.index)
 
 
 @dataclass(frozen=True)
 class _Structure:
     """Calls entering a state together, with what the run-time checks read:
     the atom their active members emit at entry (None if none is active),
-    their members as a set, how many are designated, and whether a call
-    opens an obligation."""
+    their members as a set, how many designated members are active at
+    entry, and whether one is pending (``opens``)."""
 
     calls: tuple
     member_set: frozenset
@@ -249,19 +241,15 @@ def _structure(*calls: _Call) -> Optional[_Structure]:
         calls,
         member_set,
         emission,
-        sum(1 for m in members if m.designated),
-        any(c.ascent is not None for c in calls),
+        sum(1 for m in members if m.designated and m.index >= 1),
+        any(m.designated and m.index < 1 for m in members),
     )
 
 
 def _pair(b: _Structure, e: _Structure) -> Optional[_Structure]:
-    """A beginner and an ender entering together, or None when they clash,
-    share a member or both open an obligation."""
-    if (
-        not _compatible(b.emission, e.emission)
-        or not b.member_set.isdisjoint(e.member_set)
-        or (b.opens and e.opens)
-    ):
+    """A beginner and an ender entering together, or None when they clash
+    or share a member."""
+    if not _compatible(b.emission, e.emission) or not b.member_set.isdisjoint(e.member_set):
         return None
     return _Structure(
         b.calls + e.calls,
@@ -270,12 +258,6 @@ def _pair(b: _Structure, e: _Structure) -> Optional[_Structure]:
         b.designated + e.designated,
         b.opens or e.opens,
     )
-
-
-def _ascent(view: SubFunction, window: tuple) -> _Structure:
-    """The final designated piece that consumes an obligation."""
-    m = Member(view.key + (1, len(window)), window, 1, FORWARD, designated=True)
-    return _structure(_Call(view, (m,), continues=True))
 
 
 def _compatible(a, b) -> bool:
@@ -374,24 +356,19 @@ class _Templates:
             sk = v.skeleton
             a_win = sk[:pivot]
             d_win = sk[pivot:]
-            idx0 = len(a_win) - len(d_win) + 1
-            if idx0 <= 1:
-                # Peak call descending into this position; its ascending half
-                # is pending until the scan reaches its window.
-                m1 = Member(v.key + (1, pivot), a_win, idx0, FORWARD)
-                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(d_win), BACKWARD)
-                yield _Call(v, (m1, m2), (len(d_win) - len(a_win), 0))
-            if len(d_win) > len(a_win):
-                # Turn call whose descent enters first; the ascent joins
-                # later as the final designated piece.
-                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(d_win), BACKWARD)
-                yield _Call(
-                    v,
-                    (m2,),
-                    (len(d_win), 0),
-                    ascent=a_win,
-                    ascent_after=len(d_win) - len(a_win),
-                )
+            after = len(d_win) - len(a_win)
+            if after < 0:
+                continue
+            # The descent enters at this position; the ascent is pending
+            # until the scan reaches its window, ``after`` scans on.
+            m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(d_win), BACKWARD)
+            # Peak call: the ascent climbs mid-walk.
+            m1 = Member(v.key + (1, pivot), a_win, 1 - after, FORWARD)
+            yield _Call(v, (m1, m2), (after, 0))
+            if after > 0:
+                # Turn call: the ascent is the forward path's final piece.
+                m1 = replace(m1, designated=True)
+                yield _Call(v, (m1, m2), (len(d_win), 0))
 
     def _beginner_calls(self):
         """Calls whose walk stretch begins at the entry position."""
@@ -462,7 +439,6 @@ del _templates.__wrapped__
 @dataclass
 class _SearchStats:
     states_visited: int = 0
-    plans_emitted: int = 0
     cause: Optional[str] = None  # what cut the search last: "deadline", "depth" or "plan cap"
 
     @property
@@ -473,6 +449,9 @@ class _SearchStats:
 class _StopSearch(Exception):
     pass
 
+
+# The deepest scan a search enters; a deeper state is cut with cause "depth".
+_MAX_DEPTH = 64
 
 # Where the walk of a seed's plan ends: at 0 past the query atom, or at 1.
 _WALK_END = {"bounded": 0, "inverse": 0, "loose": 1, "to1": 1}
@@ -496,7 +475,8 @@ class _Searcher:
     lead calls, tails and bottoms), the seeds, tokens, the visited set and
     the stats belong to this run.  A state looks its candidates up by the
     atom it emits next, checks them as templates and stamps a combination
-    with fresh tokens only when it joins.
+    with fresh tokens only when it joins.  A state is keyed by its member
+    set alone: a turn call's pending ascent is one of its members.
     """
 
     def __init__(
@@ -504,7 +484,6 @@ class _Searcher:
         closure: Sequence[SubFunction],
         query: AtomicQuery,
         modes: Sequence[str] = ("bounded", "loose"),
-        max_depth: int = 64,
         max_plans: int = 10000,
         deadline: Optional[float] = None,
         single: bool = False,
@@ -513,7 +492,6 @@ class _Searcher:
         self.closure = list(closure)
         self.query = query
         self.modes = tuple(modes)
-        self.max_depth = max_depth
         self.max_plans = max_plans
         self.deadline = deadline
         self.single = single
@@ -539,29 +517,21 @@ class _Searcher:
 
     def run(self):
         try:
-            for members, recs, obligation, mode in self._seeds():
-                self._search(frozenset(members), 1, recs, obligation, mode, [])
+            for members, recs, mode in self._seeds():
+                self._search(frozenset(members), 1, recs, mode, [])
         except _StopSearch:
             return
 
-    def _stamp(self, structure: _Structure, entry: int, members: list, recs: list, obligation):
+    def _stamp(self, structure: _Structure, entry: int, members: list, recs: list):
         """Give each call of the structure, in call order, the entry scan and
-        a fresh token (an ascent takes its obligation's), adding its members
-        and records; returns the obligation once the structure has joined."""
+        a fresh token, adding its members and records."""
         for call in structure.calls:
-            if call.continues:
-                tok = obligation.token
-                obligation = replace(obligation, enter_scan=-1)
-            else:
-                tok = next(self._token_counter)
+            tok = next(self._token_counter)
             members.extend(_at(m, m.index, tok) for m in call.members)
             stretch = call.stretch
             if stretch is not None:
                 stretch = (entry + stretch[0], entry + stretch[1])
-            recs.append(_CallRec(tok, call.view, call.path_atoms, stretch))
-            if call.ascent is not None:
-                obligation = _Obligation(tok, call.view, call.ascent, entry + call.ascent_after)
-        return obligation
+            recs.append(_CallRec(tok, call.view, call.path_atoms, entry + call.path_after, stretch))
 
     # -- the query's own structures -------------------------------------------
 
@@ -573,15 +543,15 @@ class _Searcher:
             sk = v.skeleton
             if len(sk) < 2 or sk[0] != rel:
                 continue
+            window = sk[1:]
+            m = Member(v.key + (2, len(sk)), window, 1, FORWARD, designated=True)
+            yield _Call(v, (m,))
             pivot = v.parent.pivot()
             if pivot is None or pivot < 2:
-                window = sk[1:]
-                m = Member(v.key + (2, len(sk)), window, 1, FORWARD, designated=True)
-                yield _Call(v, (m,))
                 continue
             a_win = sk[1:pivot]
             d_win = sk[pivot:]
-            if a_win and len(d_win) <= len(a_win):
+            if len(d_win) <= len(a_win):
                 m1 = Member(v.key + (2, pivot), a_win, 1, FORWARD, designated=True)
                 m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD)
                 yield _Call(v, (m1, m2), (len(a_win), len(a_win) - len(d_win)))
@@ -663,38 +633,30 @@ class _Searcher:
                         extra_list = extras[want] = [None] + _seed_order(
                             single_extras + self._pairs(want), want
                         )
-                for extra, des in self._seed_combos(mode, bottom, extra_list, options[want]):
+                for extra, des in self._seed_combos(bottom, extra_list, options[want]):
                     members, recs = [], []
-                    ascent = des.calls[0].continues
-                    ob = None
-                    if extra is not None:
-                        ob = self._stamp(extra, 1, members, recs, ob)
-                    if not ascent:
-                        ob = self._stamp(des, 1, members, recs, ob)
-                    ob = self._stamp(bottom, 1, members, recs, ob)
-                    if ascent:  # consumes the obligation the bottom opened
-                        ob = self._stamp(des, 1, members, recs, ob)
-                    yield members, recs, ob, mode
+                    for s in (extra, des, bottom):
+                        if s is not None:
+                            self._stamp(s, 1, members, recs)
+                    yield members, recs, mode
 
     @staticmethod
-    def _seed_combos(mode, bottom, extra_list, options):
+    def _seed_combos(bottom, extra_list, options):
         """(extra, designated) structures that form a state with the bottom.
 
         At most one extra joins: None, a one-call extra or a beginner-ender
-        pair from ``extra_list``.  An obligation the bottom opens at scan 1
-        must be consumed there: its ascent is then the only designated
-        option.  Candidates are taken in seed order (``_seed_order``).
+        pair from ``extra_list``.  A bottom whose ascent is already active
+        at scan 1 owns the forward path's first piece and takes no
+        designated option (None).  Candidates are taken in seed order
+        (``_seed_order``).
         """
-        turn = next((c for c in bottom.calls if c.ascent is not None), None)
-        if turn is not None and turn.ascent_after == 0:
-            if mode == "loose":
-                return  # the lead call must own the first designated piece
-            options = [_ascent(turn.view, turn.ascent)]
+        if bottom.designated:
+            options = (None,)
         for extra in extra_list:
-            if extra is not None and extra.opens and bottom.opens:
-                continue  # at most one pending obligation
+            if extra is not None and extra.opens and (bottom.opens or bottom.designated):
+                continue  # one turn call's ascent at a time
             for des in options:
-                parts = (des, bottom) if extra is None else (des, bottom, extra)
+                parts = [s for s in (des, bottom, extra) if s is not None]
                 if _fits(parts):
                     yield extra, des
 
@@ -741,19 +703,18 @@ class _Searcher:
             pivot = v.parent.pivot()
             if pivot is not None and pivot + 1 <= len(sk) - 1:
                 # Turn usage: climb to the pivot, then descend to the
-                # implicit query atom.  The climb is either the forward
-                # path's final piece (joining later as designated) or a
-                # mid-walk ascent (pending member).
+                # implicit query atom.  The climb, pending until the scan
+                # reaches its window, is either the forward path's final
+                # piece (designated) or a mid-walk ascent.
                 a_win = sk[:pivot]
                 d_win = sk[pivot : len(sk) - 1]
-                if len(d_win) < len(a_win):
+                after = len(d_win) - len(a_win)
+                if after < 0:
                     continue
                 m_d = Member(v.key + (pivot + 1, len(sk) - 1), d_win, len(d_win), BACKWARD)
-                after = len(d_win) - len(a_win)
-                yield _structure(
-                    _Call(v, (m_d,), (len(d_win), -1), ascent=a_win, ascent_after=after)
-                ), False
-                m_a = Member(v.key + (1, pivot), a_win, 1 - after, FORWARD)
+                m_a = Member(v.key + (1, pivot), a_win, 1 - after, FORWARD, designated=True)
+                yield _structure(_Call(v, (m_a, m_d), (len(d_win), -1))), False
+                m_a = replace(m_a, designated=False)
                 yield _structure(_Call(v, (m_a, m_d), (after, -1))), False
 
     def _loose_bottoms(self):
@@ -789,37 +750,27 @@ class _Searcher:
 
     # -- the depth-first search ------------------------------------------------
 
-    def _state_key(self, members: frozenset, scan: int, obligation) -> tuple:
-        ob = None
-        if obligation is not None and obligation.enter_scan >= 0:
-            ob = (obligation.view.key, obligation.window, obligation.enter_scan - scan)
-        return (members, ob)
-
-    def _search(self, members, scan, recs, obligation, mode, stack):
+    def _search(self, members, scan, recs, mode, stack):
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.stats.cause = "deadline"
             raise _StopSearch
-        if scan > self.max_depth:
+        if scan > _MAX_DEPTH:
             self.stats.cause = "depth"
             return
-        if obligation is not None and 0 <= obligation.enter_scan < scan:
-            return
-        key = self._state_key(members, scan, obligation)
         if self.single:
-            if key in self.visited:
+            if members in self.visited:
                 return
-            self.visited.add(key)
+            self.visited.add(members)
         else:
-            if key in stack:
+            if members in stack:
                 return
-            stack.append(key)
+            stack.append(members)
         self.stats.states_visited += 1
         try:
             rec = search_successors(members)
             advanced = rec.advanced
             if not advanced:
-                if obligation is None or obligation.enter_scan < 0:
-                    self._emit(recs, mode)
+                self._emit(recs, mode)
                 return
             started = list(rec.started)
             ended = list(rec.ended)
@@ -842,10 +793,18 @@ class _Searcher:
             if cancelled_designated:
                 return  # members persist past the turn's top: dead branch
             designated_ended = any(e.designated for e in ended)
+            # A pending designated member arriving at index 1 takes over only
+            # from a forward piece that ends here; else two would be active.
+            if not designated_ended and any(
+                m.designated and m.index == 1 for m in advanced
+            ):
+                return
             nondes_ends = [e for e in ended if not e.designated]
             # Pending/idle members activating behave like begin/end needs at
             # the next position (their stretch starts or ends there).
-            acts_fwd = sum(1 for m in advanced if m.forward and m.index == 1)
+            acts_fwd = sum(
+                1 for m in advanced if m.forward and m.index == 1 and not m.designated
+            )
             acts_bwd = sum(
                 1 for m in advanced if not m.forward and m.index == len(m.atoms)
             )
@@ -855,12 +814,12 @@ class _Searcher:
                 return
             if designated_ended and (begins or ends_n):
                 return
-            self._expand(advanced, scan + 1, recs, obligation, mode, stack, designated_ended, begins, ends_n)
+            self._expand(advanced, scan + 1, recs, mode, stack, designated_ended, begins, ends_n)
         finally:
             if not self.single:
                 stack.pop()
 
-    def _expand(self, advanced, entry, recs, obligation, mode, stack, designated_ended, begins, ends_n):
+    def _expand(self, advanced, entry, recs, mode, stack, designated_ended, begins, ends_n):
         """Search every child of a state: the advanced members plus the
         structure its needs call for and at most one valley crossing the
         entry position, which carries no need."""
@@ -869,15 +828,14 @@ class _Searcher:
             # Members emitting different atoms match no line of atoms, so
             # no plan comes from them: drop the state.
             return
-        moves_alone = not designated_ended and begins == ends_n
+        need = 1 - sum(1 for m in advanced if m.designated and m.index >= 1)
+        pending = any(m.designated and m.index < 1 for m in advanced)
         # Joining members must emit the next state's atom, so the tables
         # give only structures emitting it (or nothing) at entry.
         if designated_ended:
-            bases = self._designated.matching(current)
-            if obligation is not None and obligation.enter_scan == entry:
-                due = _ascent(obligation.view, obligation.window)
-                if _compatible(due.emission, current):
-                    bases = [due] + bases
+            # need == 0: an arriving member takes over the forward path, and
+            # nothing else joins at the hand-over.
+            bases = self._designated.matching(current) if need else ()
         elif begins and ends_n:
             bases = ()
         elif begins:
@@ -889,13 +847,10 @@ class _Searcher:
         valleys = [
             v for v in self._valleys.matching(current) if advanced.isdisjoint(v.member_set)
         ]
-        need = 1 - sum(1 for m in advanced if m.designated)
-        pending = obligation is not None and obligation.enter_scan >= 0
-        if moves_alone:
-            self._search(advanced, entry, recs, obligation, mode, stack)
-            if need == 0:
-                for valley in valleys:
-                    self._join(advanced, entry, recs, obligation, mode, stack, (valley,))
+        if need == 0 and begins == ends_n:
+            self._search(advanced, entry, recs, mode, stack)
+            for valley in valleys:
+                self._join(advanced, entry, recs, mode, stack, (valley,))
         for base in bases:
             if (
                 base.designated != need
@@ -903,20 +858,20 @@ class _Searcher:
                 or not advanced.isdisjoint(base.member_set)
             ):
                 continue
-            self._join(advanced, entry, recs, obligation, mode, stack, (base,))
+            self._join(advanced, entry, recs, mode, stack, (base,))
             for valley in valleys:
                 if base.member_set.isdisjoint(valley.member_set) and _compatible(
                     base.emission, valley.emission
                 ):
-                    self._join(advanced, entry, recs, obligation, mode, stack, (base, valley))
+                    self._join(advanced, entry, recs, mode, stack, (base, valley))
 
-    def _join(self, advanced, entry, recs, obligation, mode, stack, structures):
+    def _join(self, advanced, entry, recs, mode, stack, structures):
         """Stamp checked structures and search the state they form."""
         members = []
         recs = list(recs)
         for s in structures:
-            obligation = self._stamp(s, entry, members, recs, obligation)
-        self._search(advanced.union(members), entry, recs, obligation, mode, stack)
+            self._stamp(s, entry, members, recs)
+        self._search(advanced.union(members), entry, recs, mode, stack)
 
     # -- plan assembly -----------------------------------------------------------
 
@@ -927,33 +882,32 @@ class _Searcher:
         if self.emit_gate is not None and not self.emit_gate(views):
             return
         self.results.append((views, mode))
-        self.stats.plans_emitted += 1
         if self.single:
             raise _StopSearch
-        if self.stats.plans_emitted >= self.max_plans:
+        if len(self.results) >= self.max_plans:
             self.stats.cause = "plan cap"
             raise _StopSearch
 
     def _assemble(self, recs: List[_CallRec], mode: str) -> Optional[tuple]:
         """The plan's calls: the forward path's pieces in the order they
-        were stamped, then the walk stretches chained from the path's top
-        to the walk's end; None when they do not chain."""
+        start (``path_at``), then the walk stretches chained from the
+        path's top to the walk's end; None when they do not chain."""
         views = {}
         path = []
         walk = {}
-        top = 1
         for rec in recs:
             views[rec.token] = rec.view
             if rec.path_atoms:
-                top += rec.path_atoms
-                path.append(rec.token)
+                path.append(rec)
             if rec.stretch is not None:
                 walk[rec.token] = rec.stretch
+        top = 1 + sum(rec.path_atoms for rec in path)
         chain = self._chain_walk(walk, top, _WALK_END[mode])
         if chain is None:
             return None
-        on_path = set(path)
-        return tuple(views[tok] for tok in path) + tuple(
+        path.sort(key=lambda rec: rec.path_at)
+        on_path = {rec.token for rec in path}
+        return tuple(rec.view for rec in path) + tuple(
             views[tok] for tok in chain if tok not in on_path
         )
 
@@ -1161,7 +1115,6 @@ def find_one_weakly_smart(
     searcher = _Searcher(
         closure,
         query,
-        max_plans=1,
         deadline=deadline,
         single=True,
         emit_gate=weak,
@@ -1467,7 +1420,6 @@ def smart_plan_exists(
         closure,
         query,
         modes=_SMART_MODES,
-        max_plans=1,
         deadline=deadline,
         single=True,
         emit_gate=gate,

@@ -84,28 +84,10 @@ def gen_catalog(cfg: SynthConfig) -> List[PathFunction]:
 
 
 @dataclass
-class QueryOutcome:
-    answered: bool
-    millis: float
-    timed_out: bool = False
-
-
-@dataclass
 class PointResult:
-    axis_value: int
     fractions: Dict[str, float]
     millis: Dict[str, List[float]] = field(default_factory=dict)
     timeouts: int = 0
-
-    def median_ms(self, approach: str) -> float:
-        values = self.millis.get(approach, [])
-        return statistics.median(values) if values else 0.0
-
-    def p95_ms(self, approach: str) -> float:
-        values = sorted(self.millis.get(approach, []))
-        if not values:
-            return 0.0
-        return values[int(0.95 * (len(values) - 1))]
 
 
 def vocabulary(catalog: Sequence[PathFunction]) -> List[str]:
@@ -151,7 +133,7 @@ def answered_fractions(
             millis[approach].append(elapsed)
     total = len(queries) or 1
     fractions = {a: counts[a] / total for a in APPROACHES}
-    return PointResult(0, fractions, millis, timeouts)
+    return PointResult(fractions, millis, timeouts)
 
 
 @dataclass
