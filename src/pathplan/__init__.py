@@ -28,7 +28,6 @@ from .characterize import (
     Verdict,
     find_walk,
     is_bounded,
-    is_loosely_bounded,
     is_smart,
     is_weakly_smart,
     is_well_filtering,

@@ -7,12 +7,11 @@ instance where the filter-free plan and the query both succeed.  Smart
 plans are the bounded ones: the skeleton splits into a forward path
 followed by a walk back through the reversed query atom and the forward
 path, with one equality filter pinned next to the output inside a query
-atom.  The walk decompositions here also describe plan shapes (the "loose"
-variant lets the query relation open the skeleton and the walk stop one
-position short).
+atom.
 
 The canonical database is itself a line of oriented atoms, so both
-decisions are walks along a line, computed by one kernel, ``_walk``.
+decisions are walks along a line, answered yes or no by one kernel,
+``_walk``.
 """
 
 from __future__ import annotations
@@ -31,69 +30,26 @@ from .model import (
     sub_function_transformation,
 )
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 SMART = "smart"
 WEAKLY_SMART_ONLY = "weaklySmartOnly"
 NOT_WEAKLY_SMART = "notWeaklySmart"
 
 
 @dataclass(frozen=True)
-class Step:
-    """One move through a base sequence, emitting one oriented atom.
-
-    A forward step at position i emits base atom i (0-based) and moves to
-    i+1; a backward step at position i emits the inverse of base atom i-1
-    and moves to i-1.
-    """
-
-    kind: str
-    emitted: Atom
-    from_position: int
-    to_position: int
-
-
-@dataclass(frozen=True)
-class WalkDecomposition:
-    base: tuple
-    steps: tuple
-    end_position: int
-
-    def emitted(self) -> tuple:
-        return tuple(s.emitted for s in self.steps)
-
-
-@dataclass(frozen=True)
-class BoundedDecomposition:
-    """Forward path plus the backward walk that retraces it to the query.
-
-    ``loose`` marks the r.P.B form, whose walk stops at position 1 instead
-    of crossing the query atom down to 0.
-    """
-
-    forward_path: tuple
-    walk: WalkDecomposition
-    loose: bool
-
-
-@dataclass(frozen=True)
 class Verdict:
     level: str
-    decomposition: Optional[BoundedDecomposition] = None
 
 
-def _walk(line: tuple, word: tuple, start: int, ends, pins: dict):
-    """First walk along ``line`` from ``start`` emitting ``word``, as steps.
+def _walk(line: tuple, word: tuple, start: int, ends, pins: dict) -> bool:
+    """Is there a walk along ``line`` from ``start`` emitting ``word``?
 
     Position p sits before line atom p: a forward step at p emits line[p]
     and moves to p+1; a backward step at p emits the inverse of line[p-1]
     and moves to p-1.  The walk must end at a position in ``ends``, and
     ``pins`` maps an inner boundary i of the word (the walk's position
-    after i < len(word) steps) to the positions allowed there.  Backward
-    steps are tried before forward ones, depth-first, and a failed
-    (position, boundary) pair is never explored twice, so the first walk
-    found is deterministic.  Returns None when no walk exists.
+    after i < len(word) steps) to the positions allowed there.  The search
+    is depth-first, and a failed (position, boundary) pair is never
+    explored twice.
     """
     n = len(line)
     m = len(word)
@@ -102,78 +58,50 @@ def _walk(line: tuple, word: tuple, start: int, ends, pins: dict):
     for i, allowed in pins.items():
         dead.update((pos, i) for pos in range(n + 1) if pos not in allowed)
 
-    def go(pos: int, i: int):
+    def go(pos: int, i: int) -> bool:
         if i == m:
-            return [] if pos in ends else None
+            return pos in ends
         if (pos, i) in dead:
-            return None
+            return False
         atom = word[i]
         if pos >= 1:
             prev = line[pos - 1]
             # prev.invert() == atom, without building the inverted atom.
-            if prev.base == atom.base and prev.inverse != atom.inverse:
-                rest = go(pos - 1, i + 1)
-                if rest is not None:
-                    return [Step(BACKWARD, atom, pos, pos - 1)] + rest
-        if pos <= n - 1 and line[pos] == atom:
-            rest = go(pos + 1, i + 1)
-            if rest is not None:
-                return [Step(FORWARD, atom, pos, pos + 1)] + rest
+            if prev.base == atom.base and prev.inverse != atom.inverse and go(pos - 1, i + 1):
+                return True
+        if pos <= n - 1 and line[pos] == atom and go(pos + 1, i + 1):
+            return True
         dead.add((pos, i))
-        return None
+        return False
 
     return go(start, 0)
 
 
-def find_walk(base: Sequence[Atom], candidate: Sequence[Atom], target: int):
-    """First walk through ``base`` emitting ``candidate``, ending at ``target``.
-
-    Starts at position len(base); backward steps are tried before forward
-    ones, depth-first, so the returned witness is deterministic.  Returns
-    None when no walk exists.
-    """
+def find_walk(base: Sequence[Atom], candidate: Sequence[Atom], target: int) -> bool:
+    """Is there a walk through ``base`` emitting ``candidate`` that starts
+    at position len(base) and ends at ``target``?"""
     base = tuple(base)
-    candidate = tuple(candidate)
-    steps = _walk(base, candidate, len(base), (target,), {})
-    if steps is None:
-        return None
-    return WalkDecomposition(base, tuple(steps), target)
+    return _walk(base, tuple(candidate), len(base), (target,), {})
 
 
-def is_bounded(skeleton: Sequence[Atom], query: AtomicQuery):
-    """Shortest-forward-path bounded decomposition, or None.
+def is_bounded(skeleton: Sequence[Atom], query: AtomicQuery) -> Optional[tuple]:
+    """The shortest forward path P of a bounded split, or None.
 
     Tries every split of the skeleton into P and B and accepts when B is a
     walk through rev(q).P down to position 0.
     """
     skeleton = tuple(skeleton)
-    for m in range(len(skeleton) + 1):
+    for m in range(len(skeleton)):
         forward = skeleton[:m]
-        rest = skeleton[m:]
-        if not rest:
-            continue
-        walk = find_walk((query.relation.invert(),) + forward, rest, 0)
-        if walk is not None:
-            return BoundedDecomposition(forward, walk, loose=False)
+        if find_walk((query.relation.invert(),) + forward, skeleton[m:], 0):
+            return forward
     return None
 
 
-def is_loosely_bounded(skeleton: Sequence[Atom], query: AtomicQuery):
-    """Bounded decomposition if one exists, else the r.P.B walk-to-1 form."""
-    skeleton = tuple(skeleton)
-    bounded = is_bounded(skeleton, query)
-    if bounded is not None:
-        return bounded
-    if not skeleton or skeleton[0] != query.relation:
-        return None
-    body = skeleton[1:]
-    for m in range(len(body)):
-        forward = body[:m]
-        rest = body[m:]
-        walk = find_walk((query.relation.invert(),) + forward, rest, 1)
-        if walk is not None:
-            return BoundedDecomposition(forward, walk, loose=True)
-    return None
+def is_loosely_bounded(skeleton: Sequence[Atom], query: AtomicQuery) -> bool:
+    """Is the skeleton loosely bounded?  A skeleton is loosely bounded
+    exactly when it is weakly smart, so this is that decision."""
+    return weakly_smart_skeleton(skeleton, query)
 
 
 def weakly_smart_semantics(sem: PathSemantics, query: AtomicQuery) -> bool:
@@ -200,7 +128,7 @@ def weakly_smart_semantics(sem: PathSemantics, query: AtomicQuery) -> bool:
     m = len(sem.skeleton)
     line = (query.relation.invert(),) + sem.skeleton
     ends = pins.pop(m, range(m + 2))
-    return _walk(line, sem.skeleton, 1, ends, pins) is not None
+    return _walk(line, sem.skeleton, 1, ends, pins)
 
 
 def weakly_smart_skeleton(skeleton: Sequence[Atom], query: AtomicQuery) -> bool:
@@ -263,28 +191,20 @@ def _core_skeleton(plan: ExecutionPlan) -> tuple:
     return plan_semantics(constraint_free_core(plan)).skeleton
 
 
-def _smart_decomposition(plan: ExecutionPlan, query: AtomicQuery):
-    """Syntactic smartness test for a chained plan with its own filters:
-    the bounded decomposition of its constraint-free core when the plan is
-    well-filtering with every filter safe, else None."""
-    sem = plan_semantics(plan)
-    if not _well_filtering_sem(sem, query):
-        return None
-    if not all(_filter_is_safe(sem, query, p) for p in sem.filter_positions):
-        return None
-    return is_bounded(_core_skeleton(plan), query)
-
-
 def is_smart(plan: ExecutionPlan, query: AtomicQuery) -> Verdict:
     """Three-way verdict: smart, weakly smart only, or neither.
 
     Smartness holds when the plan is well-filtering, every filter sits inside
     a query atom adjacent to the output, and the constraint-free core is
-    bounded (not merely loosely bounded).
+    bounded.
     """
-    bounded = _smart_decomposition(plan, query)
-    if bounded is not None:
-        return Verdict(SMART, bounded)
+    sem = plan_semantics(plan)
+    if (
+        _well_filtering_sem(sem, query)
+        and all(_filter_is_safe(sem, query, p) for p in sem.filter_positions)
+        and is_bounded(_core_skeleton(plan), query) is not None
+    ):
+        return Verdict(SMART)
     if is_weakly_smart(plan, query):
-        return Verdict(WEAKLY_SMART_ONLY, is_loosely_bounded(_core_skeleton(plan), query))
-    return Verdict(NOT_WEAKLY_SMART, None)
+        return Verdict(WEAKLY_SMART_ONLY)
+    return Verdict(NOT_WEAKLY_SMART)

@@ -547,7 +547,7 @@ class _Searcher:
             m = Member(v.key + (2, len(sk)), window, 1, FORWARD, designated=True)
             yield _Call(v, (m,))
             pivot = v.parent.pivot()
-            if pivot is None or pivot < 2:
+            if pivot is None or pivot < 2 or pivot >= len(sk):
                 continue
             a_win = sk[1:pivot]
             d_win = sk[pivot:]
@@ -1041,7 +1041,7 @@ def enumerate_minimal_weakly_smart(
 ) -> List[PlanHit]:
     """All minimal weakly smart plans, deduplicated and sorted.
 
-    Every emitted plan's semantics is loosely bounded, no proper
+    Every emitted plan's semantics is weakly smart, no proper
     call-subsequence of it is, and each such plan is found at least once.
     """
     if not catalog:
@@ -1347,11 +1347,9 @@ def enumerate_minimal_smart(
 
     Candidates are decided lazily: the minimality filter visits them
     shortest first, and only a sequence that no accepted plan embeds has
-    its core's boundedness checked (once per core skeleton), its plan
-    built and ``is_smart`` run on it.
+    its core's boundedness checked (once per core skeleton) and its plan
+    built.
     """
-    from .characterize import SMART, is_smart
-
     if not catalog:
         raise EmptyCatalogError("no functions")
     closure = catalog_closure(catalog)
@@ -1381,10 +1379,7 @@ def enumerate_minimal_smart(
         kind = _smartable(views, query, bounded)
         if kind is None:
             return False
-        plan = _smart_plan(views, kind, query.constant)
-        if is_smart(plan, query).level != SMART:
-            return False
-        hits[views] = SmartHit(plan, views, kind)
+        hits[views] = SmartHit(_smart_plan(views, kind, query.constant), views, kind)
         return _is_minimal_smart(views, query, bounded)
 
     minimal = _minimal_filter(

@@ -11,13 +11,19 @@ from pathplan import (
     chain_plan,
     find_walk,
     is_bounded,
-    is_loosely_bounded,
     is_smart,
     is_weakly_smart,
     is_well_filtering,
+    oracle_is_weakly_smart,
     weakly_smart_semantics,
+    weakly_smart_skeleton,
 )
-from pathplan.characterize import BACKWARD, FORWARD, NOT_WEAKLY_SMART, SMART, WEAKLY_SMART_ONLY
+from pathplan.characterize import (
+    NOT_WEAKLY_SMART,
+    SMART,
+    WEAKLY_SMART_ONLY,
+    is_loosely_bounded,
+)
 
 from util import fig1_catalog, fn, jobtitle_query, music_catalog, reference_weakly_smart
 
@@ -32,29 +38,25 @@ def atoms(text):
 def test_find_walk_paper_example():
     base = atoms("r^-.u.s.t")
     candidate = atoms("t^-.s^-.s.s^-.u^-.r")
-    walk = find_walk(base, candidate, 0)
-    assert walk is not None
-    kinds = [s.kind for s in walk.steps]
-    assert kinds == [BACKWARD, BACKWARD, FORWARD, BACKWARD, BACKWARD, BACKWARD]
-    # Soundness: re-emitting the steps reproduces the candidate exactly.
-    assert walk.emitted() == candidate
+    assert find_walk(base, candidate, 0) is True
+    assert find_walk(base, candidate, 1) is False
+    # One atom short, the walk stops at position 1, not 0.
+    assert find_walk(base, candidate[:-1], 0) is False
+    assert find_walk(base, candidate[:-1], 1) is True
 
 
 def test_find_walk_single_step():
-    walk = find_walk(atoms("r^-"), atoms("r"), 0)
-    assert walk is not None and len(walk.steps) == 1
-    assert walk.steps[0].kind == BACKWARD
+    assert find_walk(atoms("r^-"), atoms("r"), 0) is True
+    assert find_walk(atoms("r^-"), atoms("r"), 1) is False
 
 
 def test_find_walk_wrong_relation():
-    assert find_walk(atoms("r^-.a.b"), atoms("c"), 0) is None
+    assert find_walk(atoms("r^-.a.b"), atoms("c"), 0) is False
 
 
 def test_is_bounded_pi1_shape():
     q = jobtitle_query()
-    dec = is_bounded(atoms("worksFor.worksFor^-.jobTitle"), q)
-    assert dec is not None and not dec.loose
-    assert dec.forward_path == atoms("worksFor")
+    assert is_bounded(atoms("worksFor.worksFor^-.jobTitle"), q) == atoms("worksFor")
 
 
 def test_is_bounded_pi2_shape():
@@ -64,35 +66,47 @@ def test_is_bounded_pi2_shape():
 
 def test_is_bounded_figure():
     q = AtomicQuery(Atom("r"), "a")
-    dec = is_bounded(atoms("u.s.t.t^-.s^-.s.s^-.u^-.r"), q)
-    assert dec is not None and dec.forward_path == atoms("u.s.t")
+    assert is_bounded(atoms("u.s.t.t^-.s^-.s.s^-.u^-.r"), q) == atoms("u.s.t")
 
 
 def test_loosely_bounded_music():
     q = AtomicQuery(Atom("sing"), "a")
-    dec = is_loosely_bounded(atoms("sing.onAlbum.onAlbum^-"), q)
-    assert dec is not None and dec.loose
-    assert dec.forward_path == atoms("onAlbum")
+    skeleton = atoms("sing.onAlbum.onAlbum^-")
+    assert is_loosely_bounded(skeleton, q)
+    assert is_bounded(skeleton, q) is None
 
 
 def test_loosely_bounded_subsumes_bounded():
-    rng = random.Random(11)
-    names = ["r", "s", "t"]
+    # Every bounded skeleton of length <= 6 over r, s and their inverses is
+    # weakly smart.
+    oriented = [Atom("r"), Atom("r", True), Atom("s"), Atom("s", True)]
     q = AtomicQuery(Atom("r"), "a")
-    for _ in range(1000):
-        sk = tuple(
-            Atom(rng.choice(names), rng.random() < 0.5)
-            for _ in range(rng.randint(1, 6))
-        )
-        b = is_bounded(sk, q)
-        l = is_loosely_bounded(sk, q)
-        if b is not None:
-            assert l is not None and not l.loose
+    bounded = 0
+    for length in range(1, 7):
+        for skeleton in itertools.product(oriented, repeat=length):
+            if is_bounded(skeleton, q) is not None:
+                bounded += 1
+                assert weakly_smart_skeleton(skeleton, q), skeleton
+    assert bounded > 0
 
 
 def test_loosely_bounded_negative():
     q = AtomicQuery(Atom("sing"), "a")
-    assert is_loosely_bounded(atoms("sing.onAlbum"), q) is None
+    assert not is_loosely_bounded(atoms("sing.onAlbum"), q)
+
+
+def test_loosely_bounded_rejects_weak_refutations():
+    # Each skeleton is the query atom, a forward atom, and a walk back to
+    # the forward atom's start that dips through a query atom below it.
+    # The plan's canonical database holds no such atom, and refutes it.
+    q = AtomicQuery(Atom("r"), "a")
+    for first, second in (("r.r^-", "r.r.r^-"), ("r.s.s^-", "r.r^-"), ("r.s^-.s", "r.r^-")):
+        f1, f2 = fn("f1", atoms(first)), fn("f2", atoms(second))
+        assert not is_loosely_bounded(f1.skeleton + f2.skeleton, q)
+        plan = chain_plan([SubFunction(f, len(f.skeleton)) for f in (f1, f2)], "a")
+        assert is_smart(plan, q).level == NOT_WEAKLY_SMART
+        report = oracle_is_weakly_smart(plan, q)
+        assert not report.verdict and report.complete
 
 
 def _pi_plans():
@@ -204,6 +218,4 @@ def test_smart_implies_weakly_smart_and_terminal_pattern():
         if verdict.level == SMART:
             checked += 1
             assert is_weakly_smart(strip_filters(plan), q)
-            assert verdict.decomposition is not None
-            assert not verdict.decomposition.loose
     assert checked > 0

@@ -25,8 +25,11 @@ from pathplan.dsl import parse_catalog, serialize_catalog, serialize_plan
 from pathplan.engine import (
     EmptyCatalogError,
     Member,
+    _bounded_gate,
     _may_be_weak,
     _Searcher,
+    _smart_plan,
+    _smartable,
     search_successors,
     smart_plan_exists,
     state_consistent,
@@ -232,15 +235,11 @@ def test_minimize_outputs_are_minimal():
             if n > 6:
                 continue
             # No proper subsequence is weakly smart.
-            import itertools
-
-            from pathplan import is_loosely_bounded
-
             for size in range(1, n):
                 for combo in itertools.combinations(range(n), size):
                     sub = [views[i] for i in combo]
                     sk = tuple(a for v in sub for a in v.skeleton)
-                    assert is_loosely_bounded(sk, q) is None
+                    assert not weakly_smart_skeleton(sk, q)
 
 
 def test_has_trivial_equivalent_rewriting():
@@ -421,12 +420,14 @@ def test_find_one_state_counts_pinned():
 
 def test_smart_enumeration_decides_only_survivors():
     # Of 3775 raw search results only the call sequences that no accepted
-    # plan embeds get a plan built and is_smart run, and here each of them
-    # is a minimal smart plan.
+    # plan embeds get a plan built, and here each of them is a minimal
+    # smart plan.  `_smartable` is the one smartness decision: `is_smart`
+    # never runs.
     q = AtomicQuery(Atom("r4"), "a")
     cat = gen_catalog(SynthConfig(4, 30, 3, seed=0))
-    with count_calls(characterize, "is_smart") as smart:
-        hits = enumerate_minimal_smart(q, cat)
+    with count_calls(engine, "_smart_plan") as built:
+        with count_calls(characterize, "is_smart") as smart:
+            hits = enumerate_minimal_smart(q, cat)
     assert [(".".join(v.name for v in h.views), h.kind) for h in hits] == [
         ("f10", "trivial"),
         ("f25.f4.f13", "appended-inverse"),
@@ -436,7 +437,49 @@ def test_smart_enumeration_decides_only_survivors():
         ("f30.f4.f22", "appended-inverse"),
         ("f30.f4.f29", "appended-inverse"),
     ]
-    assert smart.calls == 7
+    assert built.calls == 7 and smart.calls == 0
+
+
+def test_smartable_sequences_are_smart():
+    # `_smartable` decides smart enumeration alone; `is_smart` is its
+    # reference on every sequence of up to three views over the
+    # criterion-5 bodies, every position an output.
+    oriented = [Atom("r"), Atom("r", True), Atom("s"), Atom("s", True)]
+    bodies = [(a,) for a in oriented]
+    bodies += [(a, b) for a in oriented for b in oriented if b != a.invert()]
+    closure = catalog_closure(
+        [fn(f"f{i}", body, range(1, len(body) + 1)) for i, body in enumerate(bodies)]
+    )
+    smartable = 0
+    for q in (AtomicQuery(a, "a") for a in oriented):
+        bounded = _bounded_gate(q)
+        for n in (1, 2, 3):
+            for views in itertools.product(closure, repeat=n):
+                kind = _smartable(views, q, bounded)
+                if kind is not None:
+                    smartable += 1
+                    assert is_smart(_smart_plan(views, kind, "a"), q).level == SMART, (views, kind)
+    assert smartable > 0
+
+
+def test_lead_calls_skip_views_ending_at_the_pivot():
+    # f[2] = r.s ends at the pivot of f = r.s.s^-: as a lead call it runs
+    # straight, with no peak whose descent has no atoms.
+    r, s = Atom("r"), Atom("s")
+    cat = [
+        fn("f", [r, s, s.invert()], (2, 3)),
+        fn("k", [s.invert()]),
+        fn("h", [r.invert(), r], (1, 2)),
+    ]
+    q = AtomicQuery(r, "a")
+    leads = list(_Searcher(catalog_closure(cat), q)._lead_calls())
+    assert leads and all(m.atoms for call in leads for m in call.members)
+    weak = [".".join(v.name for v in h.views) for h in enumerate_minimal_weakly_smart(q, cat)]
+    assert weak == ["f", "f[2].k"]
+    smart = [(".".join(v.name for v in h.views), h.kind) for h in enumerate_minimal_smart(q, cat)]
+    assert smart == [("f.h", "terminal"), ("f[2].k.h", "terminal")]
+    assert [v.name for v in find_one_weakly_smart(q, cat).hit.views] == ["f"]
+    assert smart_plan_exists(q, cat)
 
 
 def test_weak_screen_is_necessary():
