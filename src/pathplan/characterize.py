@@ -88,9 +88,13 @@ def is_bounded(skeleton: Sequence[Atom], query: AtomicQuery) -> Optional[tuple]:
     """The shortest forward path P of a bounded split, or None.
 
     Tries every split of the skeleton into P and B and accepts when B is a
-    walk through rev(q).P down to position 0.
+    walk through rev(q).P down to position 0.  The walk reaches position 0
+    only by stepping back over rel^-, which emits rel, so a skeleton that
+    does not end with rel is not bounded and no split is tried.
     """
     skeleton = tuple(skeleton)
+    if skeleton[-1:] != (query.relation,):
+        return None
     for m in range(len(skeleton)):
         forward = skeleton[:m]
         if find_walk((query.relation.invert(),) + forward, skeleton[m:], 0):

@@ -44,9 +44,14 @@ state, so results never depend on what the cache holds.
 
 A smart plan is a bounded core plus one filter on the query constant inside
 a query atom next to the output.  The one shape a call sequence can take is
-read off its last call (``_smart_shape``).  Smart enumeration and
-``smart_plan_exists`` run the same search, seeded in four modes, and decide
-its results by that shape and one memo of bounded cores per query.
+read off its last call (``_smart_shape``), and a bounded core ends with the
+query atom.  Before any search, one pass over the closure checks that such
+a last call can exist (``_may_be_smart``): a ``(rel)`` view, a two-output
+view ending with ``rel`` or ``rel.rel^-``, or a ``(rel^-)`` view together
+with a view ending with ``rel``.  Where none does, no search runs.  Smart
+enumeration and ``smart_plan_exists`` otherwise run the same search, seeded
+in four modes, and decide its results by that shape and one memo of bounded
+cores per query.
 """
 
 from __future__ import annotations
@@ -918,23 +923,22 @@ class _Searcher:
         Several stretches may share a top position (a turn call's descent can
         share it with a later climb), so the chaining backtracks.
         """
-        tokens = sorted(walk)
+        starting = {}
+        for tok in sorted(walk):
+            starting.setdefault(walk[tok][0], []).append(tok)
 
         def go(current, remaining):
             if not remaining:
                 return [] if current == terminal else None
-            for tok in tokens:
+            for tok in starting.get(current, ()):
                 if tok not in remaining:
                     continue
-                s, e = walk[tok]
-                if s != current:
-                    continue
-                rest = go(e, remaining - {tok})
+                rest = go(walk[tok][1], remaining - {tok})
                 if rest is not None:
                     return [tok] + rest
             return None
 
-        return go(start, frozenset(tokens))
+        return go(start, frozenset(walk))
 
 
 # -- public enumeration API --------------------------------------------------
@@ -1265,6 +1269,29 @@ def _smart_shape(views: tuple, query: AtomicQuery) -> Optional[tuple]:
     return kind, skeleton[: len(skeleton) - drop]
 
 
+def _may_be_smart(closure: Sequence[SubFunction], query: AtomicQuery) -> bool:
+    """Can any call sequence over ``closure`` have a smart shape with a
+    bounded core?  A necessary condition, in one pass over the closure.
+
+    A shape is read off the last call (``_smart_shape``), and a bounded
+    core ends with ``rel`` (``is_bounded``).  So a smart plan needs a
+    ``(rel)`` view, a two-output view ending with ``rel`` or ``rel.rel^-``,
+    or a ``(rel^-)`` view together with a view ending with ``rel``.
+    """
+    rel = query.relation
+    inverse = rel.invert()
+    has_inverse = ends_in_rel = False
+    for v in closure:
+        sk = v.skeleton
+        if sk == (rel,):
+            return True
+        if _two_output_able(v) and (sk[-1] == rel or sk[-2:] == (rel, inverse)):
+            return True
+        has_inverse = has_inverse or sk == (inverse,)
+        ends_in_rel = ends_in_rel or sk[-1] == rel
+    return has_inverse and ends_in_rel
+
+
 def _smartable(views: tuple, query: AtomicQuery, bounded: Callable) -> Optional[str]:
     """The kind of this call sequence's shape when its core is bounded
     (``bounded`` is the query's ``_bounded_gate``), else None."""
@@ -1338,12 +1365,14 @@ def enumerate_minimal_smart(
     """All minimal smart plans: a bounded core plus a filter pinned inside
     a query atom adjacent to the output.
 
-    One search, seeded in the four ``_SMART_MODES``, yields the candidate
-    call sequences: single calls and bounded or loose results, each
-    followed by a tail call, or alone when it has a shape; inverse
-    results, whose final call runs past the query atom; and walks to
-    position 1 closed by a two-atom ``(rel, rel^-)`` call.  A sequence has
-    one shape, read off its last call (``_smart_shape``).
+    When no call of the closure can end a smart plan (``_may_be_smart``),
+    the answer is empty and no search runs.  Otherwise one search, seeded
+    in the four ``_SMART_MODES``, yields the candidate call sequences:
+    single calls and bounded or loose results, each followed by a tail
+    call, or alone when it has a shape; inverse results, whose final call
+    runs past the query atom; and walks to position 1 closed by a two-atom
+    ``(rel, rel^-)`` call.  A sequence has one shape, read off its last
+    call (``_smart_shape``).
 
     Candidates are decided lazily: the minimality filter visits them
     shortest first, and only a sequence that no accepted plan embeds has
@@ -1353,6 +1382,8 @@ def enumerate_minimal_smart(
     if not catalog:
         raise EmptyCatalogError("no functions")
     closure = catalog_closure(catalog)
+    if not _may_be_smart(closure, query):
+        return []
     searcher = _Searcher(
         closure, query, modes=_SMART_MODES, max_plans=max_plans, deadline=deadline
     )
@@ -1397,15 +1428,19 @@ def smart_plan_exists(
 ) -> bool:
     """Does a smart plan exist?
 
-    Runs ``enumerate_minimal_smart``'s search in single mode.  A result is
-    accepted when it, or it followed by a tail call or by a two-atom
-    ``(rel, rel^-)`` call, has a shape (``_smart_shape``) with a bounded
-    core.  Single calls are checked the same way only when the search
-    finds nothing.
+    A ``(rel)`` view answers yes, and a closure in which no call can end a
+    smart plan (``_may_be_smart``) answers no, both without a search.
+    Otherwise runs ``enumerate_minimal_smart``'s search in single mode.
+    A result is accepted when it, or it followed by a tail call or by a
+    two-atom ``(rel, rel^-)`` call, has a shape (``_smart_shape``) with a
+    bounded core.  Single calls are checked the same way only when the
+    search finds nothing.
     """
     closure = catalog_closure(catalog)
     if any(v.skeleton == (query.relation,) for v in closure):
         return True
+    if not _may_be_smart(closure, query):
+        return False
     bounded = _bounded_gate(query)
 
     def gate(views):

@@ -25,7 +25,14 @@ from pathplan.characterize import (
     is_loosely_bounded,
 )
 
-from util import fig1_catalog, fn, jobtitle_query, music_catalog, reference_weakly_smart
+from util import (
+    fig1_catalog,
+    fn,
+    jobtitle_query,
+    music_catalog,
+    reference_weakly_smart,
+    split_bounded,
+)
 
 
 def atoms(text):
@@ -67,6 +74,21 @@ def test_is_bounded_pi2_shape():
 def test_is_bounded_figure():
     q = AtomicQuery(Atom("r"), "a")
     assert is_bounded(atoms("u.s.t.t^-.s^-.s.s^-.u^-.r"), q) == atoms("u.s.t")
+
+
+def test_is_bounded_cut_on_last_atom_matches_every_split():
+    # A skeleton not ending with the query atom is rejected before any
+    # split is tried; every skeleton of length <= 6 over r, s and their
+    # inverses gets the forward path that trying every split gives.
+    oriented = [Atom("r"), Atom("r", True), Atom("s"), Atom("s", True)]
+    for q in (AtomicQuery(Atom("r"), "a"), AtomicQuery(Atom("r", True), "a")):
+        bounded = 0
+        for length in range(7):
+            for skeleton in itertools.product(oriented, repeat=length):
+                expected = split_bounded(skeleton, q)
+                assert is_bounded(skeleton, q) == expected, (skeleton, q)
+                bounded += expected is not None
+        assert bounded > 0
 
 
 def test_loosely_bounded_music():

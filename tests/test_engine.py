@@ -26,6 +26,7 @@ from pathplan.engine import (
     EmptyCatalogError,
     Member,
     _bounded_gate,
+    _may_be_smart,
     _may_be_weak,
     _Searcher,
     _smart_plan,
@@ -45,6 +46,7 @@ from util import (
     fn,
     jobtitle_query,
     music_catalog,
+    split_bounded,
 )
 
 
@@ -462,6 +464,60 @@ def test_smartable_sequences_are_smart():
     assert smartable > 0
 
 
+def test_may_be_smart_is_necessary():
+    # Where no call of the closure can end a smart plan, no sequence of up
+    # to three calls (two on large closures) has a smart shape whose core
+    # is bounded, by trying every split of the core.  The first catalog's
+    # only plan is inverse-terminal.
+    catalogs = [list(parse_catalog("g = s\nf = s^- . r . r^- | out 2 3\n"))]
+    catalogs += itertools.islice(_no_existential_catalogs(), 696)
+    catalogs += [_differential_catalog(t) for t in range(0, 300, 3)]
+    checked = 0
+    for cat in catalogs:
+        closure = catalog_closure(cat)
+        for q in _oriented_queries(cat):
+            if _may_be_smart(closure, q):
+                continue
+            verdicts = {}
+
+            def bounded(core):
+                if core not in verdicts:
+                    verdicts[core] = split_bounded(core, q) is not None
+                return verdicts[core]
+
+            longest = 3 if len(closure) ** 3 <= 5000 else 2
+            for n in range(1, longest + 1):
+                for views in itertools.product(closure, repeat=n):
+                    assert _smartable(views, q, bounded) is None, (views, q)
+                    checked += 1
+    assert checked > 100000
+
+
+def test_no_search_where_no_smart_plan_can_end():
+    # The five heavy sweep queries with no smart plan: the closure has no
+    # call that can end one, so neither smart entry point searches.
+    cases = [(5, Atom("r1", True))]
+    cases += [(6, Atom(base, inv)) for base in ("r3", "r4") for inv in (False, True)]
+    with count_calls(engine, "_Searcher") as searched:
+        for seed, atom in cases:
+            cat = gen_catalog(SynthConfig(4, 30, 3, seed=seed))
+            q = AtomicQuery(atom, "a")
+            assert not _may_be_smart(catalog_closure(cat), q)
+            assert enumerate_minimal_smart(q, cat) == []
+            assert not smart_plan_exists(q, cat)
+    assert searched.calls == 0
+
+
+def test_chain_walk_backtracks_among_stretches_sharing_a_top():
+    # Stretches 0 and 1 both start at the top, 5.  Taking 0 first reaches
+    # the end through 3 with 1 and 2 left over, so the chaining backtracks
+    # and takes 1, 2, 0, 3: the chain a scan of every token in order gives.
+    walk = {0: (5, 2), 1: (5, 3), 2: (3, 5), 3: (2, 0)}
+    assert _Searcher._chain_walk(walk, 5, 0) == [1, 2, 0, 3]
+    assert _Searcher._chain_walk(walk, 5, 1) is None
+    assert _Searcher._chain_walk({}, 1, 1) == []
+
+
 def test_lead_calls_skip_views_ending_at_the_pivot():
     # f[2] = r.s ends at the pivot of f = r.s.s^-: as a lead call it runs
     # straight, with no peak whose descent has no atoms.
@@ -579,11 +635,13 @@ def test_template_cache_builds_once_per_catalog(tmp_path):
     assert len(queries) == 4
     engine._templates.cache_clear()
     with count_calls(engine, "_Templates") as built, count_calls(engine, "_templates") as asked:
-        for q in queries:
-            enumerate_minimal_smart(q, cat)
-            find_one_weakly_smart(q, cat)
-            smart_plan_exists(q, cat)
-    assert built.calls == 1 and asked.calls >= 8
+        with count_calls(engine, "_Searcher") as searched:
+            for q in queries:
+                enumerate_minimal_smart(q, cat)
+                find_one_weakly_smart(q, cat)
+                smart_plan_exists(q, cat)
+    # Every search asks for the tables, and only the first builds them.
+    assert built.calls == 1 and asked.calls == searched.calls > 1
     path = tmp_path / "c.cat"
     path.write_text(serialize_catalog(cat))
     parsed = [list(parse_catalog(path.read_text())) for _ in range(2)]

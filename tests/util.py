@@ -17,6 +17,7 @@ from pathplan import (
     PathSemantics,
     canonical_weak_database,
     catalog_closure,
+    find_walk,
 )
 from pathplan.evaluate import eval_semantics, query_answers
 
@@ -36,6 +37,17 @@ def reference_weakly_smart(sem, query):
     instance = canonical_weak_database(sem, query)
     delivered = eval_semantics(sem, query.constant, instance)
     return bool(delivered & query_answers(query, instance))
+
+
+def split_bounded(skeleton, query):
+    """Boundedness by trying every split into a forward path and a walk
+    back to position 0, with no shortcut on the last atom: the shortest
+    forward path, or None."""
+    skeleton = tuple(skeleton)
+    for m in range(len(skeleton)):
+        if find_walk((query.relation.invert(),) + skeleton[:m], skeleton[m:], 0):
+            return skeleton[:m]
+    return None
 
 
 def brute_force_minimal_weak(query, catalog, max_calls=5):
