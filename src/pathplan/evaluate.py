@@ -5,6 +5,17 @@ yields nothing.  Optional-edge mode returns maximal-prefix rows with nulls
 past the last matched atom, so projecting a call of the full function onto a
 prefix view's outputs equals calling the prefix view directly; this mirrors
 Web services that return partial records.
+
+``eval_plan`` and each oracle call compile the plan once: every call's path,
+input slot and kept output slots are read before any instance is seen.  An
+instance is then evaluated in one pass over a deduplicated set of row tuples
+that hold only the variables a later call, a filter or the output reads,
+with each call run once per distinct input value.  The filter-free and the
+filtered results both come from that pass.  The oracles build an
+``Instance`` only for the members of their instance family that can refute:
+those with a fact leading from the plan's constant along its first atom,
+and for the weak oracle also a query-answer fact.  Skipped members still
+count in ``instances_checked``.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set
+from typing import Iterable, NamedTuple, Optional, Sequence, Set
 
 from .model import (
     Atom,
@@ -21,7 +32,6 @@ from .model import (
     PathSemantics,
     SubFunction,
     plan_semantics,
-    strip_filters,
 )
 
 STANDARD = "standard"
@@ -115,6 +125,50 @@ class CallResult:
     rows: frozenset
 
 
+def _optional(mode: str) -> bool:
+    if mode == OPTIONAL_EDGE:
+        return True
+    if mode == STANDARD:
+        return False
+    raise ValueError(f"unknown call mode {mode!r}")
+
+
+def _path(skeleton: Sequence[Atom], positions: Sequence[int]) -> tuple:
+    """Per atom of a call: its orientation and relation, whether the
+    boundary it reaches is a kept position, and the nulls that pad a row
+    whose path stops before the atom."""
+    path = []
+    unreached = len(positions)
+    for depth, atom in enumerate(skeleton, start=1):
+        kept = depth in positions
+        path.append((atom.inverse, atom.base, kept, (NULL,) * unreached))
+        unreached -= kept
+    return tuple(path)
+
+
+def _path_rows(path: tuple, start: str, instance: Instance, optional: bool) -> set:
+    """Rows over a call's kept positions, one per path from ``start``: the
+    complete paths, and under optional-edge semantics also the maximal ones
+    padded with nulls."""
+    rows = set()
+    frontier = {(start, ())}
+    for inverse, base, kept, nulls in path:
+        index = instance._bwd if inverse else instance._fwd
+        reached = set()
+        for node, row in frontier:
+            succ = index.get((base, node))
+            if succ:
+                if kept:
+                    reached.update([(s, row + (s,)) for s in succ])
+                else:
+                    reached.update([(s, row) for s in succ])
+            elif optional:
+                rows.add(row + nulls)
+        frontier = reached
+    rows.update([row for _, row in frontier])
+    return rows
+
+
 def call_function(
     view: SubFunction,
     input_value: str,
@@ -122,38 +176,8 @@ def call_function(
     mode: str = STANDARD,
 ) -> CallResult:
     """Execute one view call from an input constant."""
-    skeleton = view.skeleton
     positions = view.bindable
-    rows = set()
-    if mode == STANDARD:
-        stack = [(input_value, 0, ())]
-        while stack:
-            node, depth, acc = stack.pop()
-            if depth == len(skeleton):
-                rows.add(acc)
-                continue
-            nxt = instance.successors(skeleton[depth], node)
-            for succ in nxt:
-                cell = (succ,) if (depth + 1) in positions else ()
-                stack.append((succ, depth + 1, acc + cell))
-    elif mode == OPTIONAL_EDGE:
-        # Enumerate maximal paths; unreached bound positions become nulls.
-        stack = [(input_value, 0, ())]
-        while stack:
-            node, depth, acc = stack.pop()
-            if depth == len(skeleton):
-                rows.add(acc)
-                continue
-            nxt = instance.successors(skeleton[depth], node)
-            if not nxt:
-                padding = tuple(NULL for p in positions if p > depth)
-                rows.add(acc + padding)
-                continue
-            for succ in nxt:
-                cell = (succ,) if (depth + 1) in positions else ()
-                stack.append((succ, depth + 1, acc + cell))
-    else:
-        raise ValueError(f"unknown call mode {mode!r}")
+    rows = _path_rows(_path(view.skeleton, positions), input_value, instance, _optional(mode))
     return CallResult(positions, frozenset(rows))
 
 
@@ -161,6 +185,97 @@ def project_rows(result: CallResult, positions: Sequence[int]) -> frozenset:
     """Project rows onto a subset of bound positions (deduplicated)."""
     idx = [result.positions.index(p) for p in positions]
     return frozenset(tuple(row[i] for i in idx) for row in result.rows)
+
+
+class _Call(NamedTuple):
+    """One call of a compiled plan.  ``source`` is the row slot holding its
+    input (None when no earlier call binds it), ``carry`` the slots kept
+    past the call, and ``nulls`` the cells of a call that is not made."""
+
+    path: tuple
+    source: Optional[int]
+    carry: tuple
+    nulls: tuple
+
+
+class _Compiled(NamedTuple):
+    """A plan read once for evaluation: rows hold only the variables that a
+    later call, a filter or the output reads.  ``output`` is the output's
+    slot in the final rows and ``filters`` the (slot, constant) pairs; both
+    are None where no call binds the variable."""
+
+    constant: str
+    calls: tuple
+    optional: bool
+    output: Optional[int]
+    filters: Optional[tuple]
+
+
+def _compile(plan: ExecutionPlan, mode: str) -> _Compiled:
+    optional = _optional(mode)
+    live = {plan.output, *(var for var, _ in plan.filters)}
+    lives = []  # per call, the variables read after it
+    for call in reversed(plan.calls):
+        lives.append(live)
+        live = live | {call.source}
+    lives.reverse()
+    layout = [None]  # the first call's input constant; no variable is named None
+    calls = []
+    for i, (call, live) in enumerate(zip(plan.calls, lives)):
+        if i == 0:
+            source = 0
+        else:
+            source = layout.index(call.source) if call.source in layout else None
+        new = {}  # live outputs by position; a name bound twice keeps its last one
+        for p, name in zip(call.bind, call.outputs):
+            if name in live:
+                new.pop(name, None)
+                new[name] = p
+        carry = tuple(j for j, name in enumerate(layout) if name in live and name not in new)
+        path = _path(call.view.skeleton, tuple(new.values()))
+        calls.append(_Call(path, source, carry, (NULL,) * len(new)))
+        layout = [layout[j] for j in carry] + list(new)
+    filters = None
+    if all(var in layout for var, _ in plan.filters):
+        filters = tuple((layout.index(var), const) for var, const in plan.filters)
+    output = layout.index(plan.output) if plan.output in layout else None
+    constant = plan.calls[0].source if plan.calls else ""
+    return _Compiled(constant, tuple(calls), optional, output, filters)
+
+
+def _answers(compiled: _Compiled, instance: Instance) -> tuple:
+    """The filter-free and the filtered results of the plan, from one pass.
+
+    Each call runs once per distinct input value within the pass.  A null
+    input means the call is not made and its outputs stay null on that row.
+    """
+    rows = {(compiled.constant,)}
+    for path, source, carry, nulls in compiled.calls:
+        cells_of = {}
+        reached = set()
+        for row in rows:
+            value = NULL if source is None else row[source]
+            cells = cells_of.get(value)
+            if cells is None:
+                if value is NULL:
+                    cells = {nulls}
+                else:
+                    cells = _path_rows(path, value, instance, compiled.optional)
+                cells_of[value] = cells
+            if carry:
+                head = tuple([row[j] for j in carry])
+                reached.update([head + c for c in cells])
+            else:
+                reached |= cells
+        rows = reached
+    out, filters = compiled.output, compiled.filters
+    if out is None:
+        return set(), set()
+    results = {row[out] for row in rows} - {NULL}
+    if not filters:
+        return results, (set() if filters is None else results)
+    delivered = {row[out] for row in rows if all(row[j] == c for j, c in filters)} - {NULL}
+    return results, delivered
 
 
 def eval_plan(
@@ -175,41 +290,7 @@ def eval_plan(
     null input means the downstream call is not made and its outputs stay
     null on that row.  Null outputs are excluded from the result.
     """
-    rows = [dict()]
-    for i, call in enumerate(plan.calls):
-        bind_idx = {p: j for j, p in enumerate(call.view.bindable)}
-        new_rows = []
-        for env in rows:
-            value = call.source if i == 0 else env.get(call.source)
-            if value is None:
-                ext = dict(env)
-                for name in call.outputs:
-                    ext[name] = None
-                new_rows.append(ext)
-                continue
-            result = call_function(call.view, value, instance, mode)
-            produced = False
-            for row in result.rows:
-                ext = dict(env)
-                for p, name in zip(call.bind, call.outputs):
-                    ext[name] = row[bind_idx[p]]
-                new_rows.append(ext)
-                produced = True
-            if not produced and mode == OPTIONAL_EDGE:
-                # A call with no successors at all still yields an all-null row.
-                ext = dict(env)
-                for name in call.outputs:
-                    ext[name] = None
-                new_rows.append(ext)
-        rows = new_rows
-    out = set()
-    for env in rows:
-        if any(env.get(var) != const for var, const in plan.filters):
-            continue
-        value = env.get(plan.output)
-        if value is not None:
-            out.add(value)
-    return out
+    return _answers(_compile(plan, mode), instance)[1]
 
 
 def _fresh_names(indices: Sequence[int], sem: PathSemantics, query: AtomicQuery) -> list:
@@ -264,25 +345,26 @@ def _fact_universe(sem: PathSemantics, query: AtomicQuery) -> list:
 
 
 def _instance_family(
-    plan: ExecutionPlan,
+    sem: PathSemantics,
     query: AtomicQuery,
     budget: int,
     max_instances: int,
     rng_seed: int,
 ):
     """Canonical database, its subsets, a capped exhaustive layer, and a
-    random layer.  Deterministic for fixed inputs.  Yields (instance,
-    truncated) pairs; truncated marks the point where the exhaustive layer
-    was cut off by the cap.  ``max_instances`` caps only the exhaustive
-    layer: all 2^|facts| - 2 proper non-empty subsets of the canonical
-    database are always yielded."""
-    sem = plan_semantics(plan)
+    random layer.  Deterministic for fixed inputs.  Yields (facts,
+    truncated) pairs, one per member, as fact collections: the oracles build
+    an ``Instance`` only for the members that can refute.  truncated marks
+    the point where the exhaustive layer was cut off by the cap.
+    ``max_instances`` caps only the exhaustive layer: all 2^|facts| - 2
+    proper non-empty subsets of the canonical database are always
+    yielded."""
     canonical = canonical_weak_database(sem, query)
-    yield canonical, False
+    yield canonical.facts, False
     facts = sorted(canonical.facts, key=str)
     for k in range(len(facts) - 1, 0, -1):
         for combo in itertools.combinations(facts, k):
-            yield Instance(combo), False
+            yield combo, False
     universe = _fact_universe(sem, query)
     emitted = 0
     truncated = False
@@ -292,13 +374,30 @@ def _instance_family(
             if emitted > max_instances:
                 truncated = True
                 break
-            yield Instance(combo), False
+            yield combo, False
         if truncated:
             break
     rng = random.Random(rng_seed)
     for _ in range(200):
         k = rng.randint(1, max(1, budget))
-        yield Instance(rng.sample(universe, min(k, len(universe)))), truncated
+        yield rng.sample(universe, min(k, len(universe))), truncated
+
+
+def _leaves(facts, atom: Atom, node: str) -> bool:
+    """Whether some fact leads from ``node`` along ``atom``."""
+    if atom.inverse:
+        return any(f.relation == atom.base and f.object == node for f in facts)
+    return any(f.relation == atom.base and f.subject == node for f in facts)
+
+
+def _lead(plan: ExecutionPlan) -> tuple:
+    """The first atom of the first call and the constant it leaves from.
+
+    Where no fact leads from the constant along that atom, the first call
+    yields only a null row (optional edge) or none (standard), so the
+    filter-free plan has no result."""
+    first = plan.calls[0]
+    return first.view.skeleton[0], first.source
 
 
 def oracle_is_weakly_smart(
@@ -315,24 +414,30 @@ def oracle_is_weakly_smart(
     every answer; loose cores are guaranteed at least one, which is the
     operative guarantee the characterization captures.)
 
+    The plan is compiled once, and one pass per instance gives both the
+    filter-free results and the plan's answers.  A member is evaluated only
+    when it holds a query-answer fact and a fact leading from the plan's
+    constant along its first atom; without either it cannot refute.
+    Skipped members still count in ``instances_checked``.
+
     ``max_instances`` caps only the exhaustive layer.  The canonical
     database and all 2^|facts| - 2 of its proper non-empty subsets are
     always checked, so ``instances_checked`` can exceed the cap; the report
     is marked incomplete only when the exhaustive layer was cut.
     """
-    unfiltered = strip_filters(plan)
+    sem = plan_semantics(plan)
+    compiled = _compile(plan, mode)
+    lead = _lead(plan)
     checked = 0
     truncated = False
-    for inst, cut in _instance_family(plan, query, budget, max_instances, rng_seed=97):
+    for facts, cut in _instance_family(sem, query, budget, max_instances, rng_seed=97):
         checked += 1
         truncated = truncated or cut
-        answers = query_answers(query, inst)
-        if not answers:
+        if not (_leaves(facts, query.relation, query.constant) and _leaves(facts, *lead)):
             continue
-        if not eval_plan(unfiltered, query, inst, mode):
-            continue
-        delivered = eval_plan(plan, query, inst, mode)
-        if not (delivered & answers):
+        inst = Instance(facts)
+        results, delivered = _answers(compiled, inst)
+        if results and not (delivered & query_answers(query, inst)):
             return OracleReport(False, inst, True, checked)
     return OracleReport(True, None, not truncated, checked)
 
@@ -347,19 +452,28 @@ def oracle_is_smart(
     """Refute smartness: some instance where the filter-free plan has results
     but the plan's answers differ from the query's.
 
+    The plan is compiled once, and one pass per instance gives both result
+    sets.  A member is evaluated only when it holds a fact leading from the
+    plan's constant along its first atom; without one the filter-free plan
+    has no result.  Skipped members still count in ``instances_checked``.
+
     ``max_instances`` caps only the exhaustive layer.  The canonical
     database and all 2^|facts| - 2 of its proper non-empty subsets are
     always checked, so ``instances_checked`` can exceed the cap; the report
     is marked incomplete only when the exhaustive layer was cut.
     """
-    unfiltered = strip_filters(plan)
+    sem = plan_semantics(plan)
+    compiled = _compile(plan, mode)
+    lead = _lead(plan)
     checked = 0
     truncated = False
-    for inst, cut in _instance_family(plan, query, budget, max_instances, rng_seed=193):
+    for facts, cut in _instance_family(sem, query, budget, max_instances, rng_seed=193):
         checked += 1
         truncated = truncated or cut
-        if not eval_plan(unfiltered, query, inst, mode):
+        if not _leaves(facts, *lead):
             continue
-        if eval_plan(plan, query, inst, mode) != query_answers(query, inst):
+        inst = Instance(facts)
+        results, delivered = _answers(compiled, inst)
+        if results and delivered != query_answers(query, inst):
             return OracleReport(False, inst, True, checked)
     return OracleReport(True, None, not truncated, checked)

@@ -110,32 +110,36 @@ def _chained_plan_cases():
                 yield fns
 
 
+def _filter_variants(fns):
+    """The chained plan over ``fns`` and its filter variants: the two
+    boundaries nearest the output, and a foreign-constant filter."""
+    views = [SubFunction(f, len(f)) for f in fns]
+    base = chain_plan(views, "a")
+    variants = [base]
+    last_call = base.calls[-1]
+    if len(last_call.view) >= 2:
+        two = chain_plan(views, "a", two_output_last=True)
+        pair = two.calls[-1].outputs
+        variants.append(ExecutionPlan(two.calls, ((pair[0], "a"),), pair[1]))
+        variants.append(ExecutionPlan(two.calls, ((pair[1], "a"),), pair[0]))
+        variants.append(ExecutionPlan(two.calls, ((pair[0], "b"),), pair[1]))
+    else:
+        out_var = base.calls[-1].outputs[-1]
+        variants.append(ExecutionPlan(base.calls, ((out_var, "a"),), out_var))
+        if len(base.calls) >= 2:
+            prev = base.calls[-2].outputs[-1]
+            variants.append(ExecutionPlan(base.calls, ((prev, "a"),), base.output))
+            variants.append(ExecutionPlan(base.calls, ((prev, "b"),), base.output))
+    return variants
+
+
 def test_criterion_2_characterization_matches_oracle():
     start = time.monotonic()
     query = AtomicQuery(Atom("r"), "a")
     weak_checked = smart_checked = 0
     disagreements = []
     for fns in _chained_plan_cases():
-        views = [SubFunction(f, len(f)) for f in fns]
-        base = chain_plan(views, "a")
-        variants = [base]
-        # Filter variants: the two boundaries nearest the output, and a
-        # foreign-constant filter.
-        last_call = base.calls[-1]
-        if len(last_call.view) >= 2:
-            two = chain_plan(views, "a", two_output_last=True)
-            pair = two.calls[-1].outputs
-            variants.append(ExecutionPlan(two.calls, ((pair[0], "a"),), pair[1]))
-            variants.append(ExecutionPlan(two.calls, ((pair[1], "a"),), pair[0]))
-            variants.append(ExecutionPlan(two.calls, ((pair[0], "b"),), pair[1]))
-        else:
-            out_var = base.calls[-1].outputs[-1]
-            variants.append(ExecutionPlan(base.calls, ((out_var, "a"),), out_var))
-            if len(base.calls) >= 2:
-                prev = base.calls[-2].outputs[-1]
-                variants.append(ExecutionPlan(base.calls, ((prev, "a"),), base.output))
-                variants.append(ExecutionPlan(base.calls, ((prev, "b"),), base.output))
-        for plan in variants:
+        for plan in _filter_variants(fns):
             budget_kwargs = dict(budget=6, max_instances=3000)
             claimed_weak = is_weakly_smart(plan, query)
             oracle_weak = oracle_is_weakly_smart(plan, query, **budget_kwargs)

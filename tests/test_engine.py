@@ -17,6 +17,8 @@ from pathplan import (
     has_trivial_equivalent_rewriting,
     is_smart,
     is_weakly_smart,
+    oracle_is_smart,
+    oracle_is_weakly_smart,
     susie_plans,
 )
 from pathplan import characterize, engine
@@ -327,8 +329,6 @@ def _differential_catalog(t):
 def test_smart_core_need_not_be_minimal_weak():
     # The core f6.f1.f3.f5 is bounded but not minimal weakly smart; the
     # inverse call f2 appended to it still gives a minimal smart plan.
-    from pathplan.evaluate import oracle_is_smart
-
     q = AtomicQuery(Atom("r1"), "a")
     hits = enumerate_minimal_smart(q, _differential_catalog(264))
     by_names = {tuple(v.name for v in h.views): h for h in hits}
@@ -398,6 +398,25 @@ def test_find_one_agrees_with_enumeration_on_item1_corpus():
             assert (hit is not None) == bool(plans), (t, q)
             if hit is not None:
                 assert tuple(v.key for v in hit.views) in plans, (t, q)
+
+
+def test_item1_plans_hold_under_their_oracles():
+    # Every emitted plan of at most five calls on the item-1 corpus is
+    # confirmed by the brute-force oracle of its kind.
+    budget = dict(budget=6, max_instances=300)
+    checked = 0
+    for t in range(300):
+        cat = _differential_catalog(t)
+        for q in _oriented_queries(cat):
+            for enumerate_plans, oracle in (
+                (enumerate_minimal_weakly_smart, oracle_is_weakly_smart),
+                (enumerate_minimal_smart, oracle_is_smart),
+            ):
+                for hit in enumerate_plans(q, cat):
+                    if len(hit.views) <= 5:
+                        assert oracle(hit.plan, q, **budget).verdict, (t, q, hit.views)
+                        checked += 1
+    assert checked == 1935
 
 
 def test_find_one_state_counts_pinned():

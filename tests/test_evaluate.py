@@ -22,9 +22,22 @@ from pathplan.evaluate import (
     eval_semantics,
     project_rows,
 )
-from pathplan.model import PathSemantics, plan_semantics, strip_filters
+from pathplan import evaluate
+from pathplan.model import ModelError, PathSemantics, plan_semantics, strip_filters
 
-from util import fig1_catalog, fn, jobtitle_query, music_catalog
+from test_acceptance import _chained_plan_cases, _filter_variants
+from util import (
+    count_calls,
+    fig1_catalog,
+    fn,
+    jobtitle_query,
+    music_catalog,
+    reference_call_rows,
+    reference_eval_plan,
+    reference_oracle_is_smart,
+    reference_oracle_is_weakly_smart,
+    report_key,
+)
 
 
 FIG1_INSTANCE = Instance(
@@ -270,3 +283,118 @@ def test_eval_plan_null_input_skips_downstream_call():
     qy = AtomicQuery(Atom("p"), "a")
     assert eval_plan(plan, qy, inst, OPTIONAL_EDGE) == {"m"}
     assert eval_plan(plan, qy, inst, STANDARD) == set()
+
+
+def _reference_plans():
+    """Every 20th criterion-2 plan, and hand-made plans: a two-output last
+    call filtered on either output, a filter on an earlier call's variable,
+    an output read before a call that can find no path, and calls that read
+    a variable other than the previous call's output, an unbound one, or a
+    name bound twice."""
+    plans = [p for fns in _chained_plan_cases() for p in _filter_variants(fns)][::20]
+    for first in (fig1_catalog()[0], fig1_catalog()[2]):
+        pi = pi_plan(first)
+        y, z = pi.calls[-1].outputs
+        plans += [pi, ExecutionPlan(pi.calls, ((z, "Anna"),), y)]
+    r, s = Atom("r"), Atom("s")
+    f = fn("f", [r, s.invert()], (1, 2))
+    g, h = fn("g", [s]), fn("h", [r.invert(), r], (1, 2))
+    k = fn("k", [s, r, s], (1, 2, 3))
+    views = [SubFunction(g, 1), SubFunction(h, 2), SubFunction(g, 1)]
+    plans.append(chain_plan(views, "a", (("v0", "a"),)))
+
+    def call(fun, source, bind, outputs):
+        return FunctionCall(SubFunction(fun, max(bind)), source, bind, outputs)
+
+    two = call(f, "a", (1, 2), ("x", "y"))
+    plans += [
+        ExecutionPlan((two, call(g, "x", (1,), ("z",))), (("y", "a"),), "z"),
+        ExecutionPlan((call(f, "a", (2,), ("x",)), call(h, "x", (2,), ("z",))), (), "x"),
+        ExecutionPlan((two, call(g, "w", (1,), ("z",))), (), "z"),
+        ExecutionPlan((two, call(h, "y", (1, 2), ("x", "x"))), (("y", "a"),), "x"),
+        ExecutionPlan(
+            (call(g, "a", (1,), ("x",)), call(g, "x", (1,), ("y",)), call(g, "y", (1,), ("x",))),
+            (),
+            "x",
+        ),
+        ExecutionPlan((call(k, "a", (1, 2, 3), ("x", "y", "x")),), (("y", "b"),), "x"),
+        ExecutionPlan((two,), (("w", "a"),), "x"),
+    ]
+    return plans
+
+
+def _reference_instances(plan, rng):
+    """A few random instances over the plan's relations, the empty one,
+    and one where no fact touches the plan's constant."""
+    rels = sorted({atom.base for call in plan.calls for atom in call.view.skeleton})
+    pool = [plan.constant, "b", "c", "d"]
+    out = [Instance(), Instance([Fact(rels[0], "b", "c")])]
+    for _ in range(6):
+        out.append(
+            Instance(
+                {
+                    Fact(rng.choice(rels), rng.choice(pool), rng.choice(pool))
+                    for _ in range(rng.randint(1, 8))
+                }
+            )
+        )
+    return out
+
+
+def test_eval_plan_matches_reference():
+    rng = random.Random(41)
+    checked = 0
+    for plan in _reference_plans():
+        query = AtomicQuery(Atom("r"), plan.constant)
+        for inst in _reference_instances(plan, rng):
+            for mode in (STANDARD, OPTIONAL_EDGE):
+                got = eval_plan(plan, query, inst, mode)
+                assert got == reference_eval_plan(plan, inst, mode), (plan, inst, mode)
+                for call in plan.calls:
+                    for value in inst.constants():
+                        got = call_function(call.view, value, inst, mode).rows
+                        assert got == reference_call_rows(call.view, value, inst, mode)
+                checked += 1
+    assert checked > 1000
+
+
+def test_oracles_match_reference():
+    # Verdict, witness, completeness and the member count, in both modes,
+    # for a forward and an inverse query.
+    queries = {
+        "a": [AtomicQuery(Atom("r"), "a"), AtomicQuery(Atom("r", True), "a")],
+        "Anna": [AtomicQuery(Atom("jobTitle"), "Anna")],
+    }
+    budgets = {
+        OPTIONAL_EDGE: dict(budget=6, max_instances=300),
+        STANDARD: dict(budget=3, max_instances=100),
+    }
+    pairs = [
+        (oracle_is_weakly_smart, reference_oracle_is_weakly_smart),
+        (oracle_is_smart, reference_oracle_is_smart),
+    ]
+    for plan in _reference_plans():
+        try:
+            plan_semantics(plan)
+        except ModelError:
+            continue  # not chained: the oracles need the plan's semantics
+        for query in queries[plan.constant]:
+            for mode, budget in budgets.items():
+                for oracle, reference in pairs:
+                    got = report_key(oracle(plan, query, mode=mode, **budget))
+                    want = report_key(reference(plan, query, mode=mode, **budget))
+                    assert got == want, (plan, query, mode, oracle.__name__)
+
+
+def test_weak_oracle_builds_only_members_that_can_refute():
+    # Members without a query-answer fact, or without a fact leading from
+    # the constant along the first atom, still count as checked but are
+    # never built into an Instance.
+    q = AtomicQuery(Atom("jobTitle"), "Anna")
+    pi1 = pi_plan(fig1_catalog()[0])
+    budget = dict(budget=6, max_instances=3000)
+    with count_calls(evaluate, "Instance") as built:
+        report = oracle_is_weakly_smart(pi1, q, **budget)
+    assert report.verdict and report.instances_checked == 3215
+    assert built.calls < report.instances_checked
+    assert report_key(report) == report_key(reference_oracle_is_weakly_smart(pi1, q, **budget))

@@ -1,7 +1,11 @@
-"""Shared test helpers: reference enumerators and tiny catalog builders.
+"""Shared test helpers: reference enumerators, a reference plan evaluator
+and oracles, and tiny catalog builders.
 
 The brute-force enumerators are independent oracles: they enumerate call
 chains exhaustively and keep the minimal ones, with no state machinery.
+The reference evaluator runs a plan row by row, one environment dict per
+row and one call per row and call, and the reference oracles evaluate the
+plan and its filter-free version on every member of the instance family.
 """
 
 from __future__ import annotations
@@ -19,7 +23,17 @@ from pathplan import (
     catalog_closure,
     find_walk,
 )
-from pathplan.evaluate import eval_semantics, query_answers
+from pathplan.evaluate import (
+    NULL,
+    OPTIONAL_EDGE,
+    STANDARD,
+    Instance,
+    OracleReport,
+    _instance_family,
+    eval_semantics,
+    query_answers,
+)
+from pathplan.model import plan_semantics, strip_filters
 
 
 def fn(name, atoms, outs=None):
@@ -85,6 +99,116 @@ def brute_force_minimal_weak(query, catalog, max_calls=5):
         if minimal:
             out[key] = views
     return out
+
+
+def reference_call_rows(view, input_value, instance, mode=STANDARD):
+    """Rows of one view call over all its bound positions, by depth-first
+    search over the instance."""
+    skeleton = view.skeleton
+    positions = view.bindable
+    rows = set()
+    stack = [(input_value, 0, ())]
+    while stack:
+        node, depth, acc = stack.pop()
+        if depth == len(skeleton):
+            rows.add(acc)
+            continue
+        nxt = instance.successors(skeleton[depth], node)
+        if not nxt and mode == OPTIONAL_EDGE:
+            rows.add(acc + tuple(NULL for p in positions if p > depth))
+            continue
+        for succ in nxt:
+            cell = (succ,) if (depth + 1) in positions else ()
+            stack.append((succ, depth + 1, acc + cell))
+    return frozenset(rows)
+
+
+def reference_eval_plan(plan, instance, mode=STANDARD):
+    """Run calls in order over row dicts, then apply filters and read the
+    output; a null input leaves the call's outputs null on that row."""
+    rows = [dict()]
+    for i, call in enumerate(plan.calls):
+        bind_idx = {p: j for j, p in enumerate(call.view.bindable)}
+        new_rows = []
+        for env in rows:
+            value = call.source if i == 0 else env.get(call.source)
+            if value is None:
+                ext = dict(env)
+                for name in call.outputs:
+                    ext[name] = None
+                new_rows.append(ext)
+                continue
+            produced = False
+            for row in reference_call_rows(call.view, value, instance, mode):
+                ext = dict(env)
+                for p, name in zip(call.bind, call.outputs):
+                    ext[name] = row[bind_idx[p]]
+                new_rows.append(ext)
+                produced = True
+            if not produced and mode == OPTIONAL_EDGE:
+                ext = dict(env)
+                for name in call.outputs:
+                    ext[name] = None
+                new_rows.append(ext)
+        rows = new_rows
+    out = set()
+    for env in rows:
+        if any(env.get(var) != const for var, const in plan.filters):
+            continue
+        value = env.get(plan.output)
+        if value is not None:
+            out.add(value)
+    return out
+
+
+def reference_oracle_is_weakly_smart(
+    plan, query, budget=6, max_instances=20000, mode=OPTIONAL_EDGE
+):
+    """``oracle_is_weakly_smart`` evaluating every member of the family,
+    the plan and its filter-free version separately."""
+    unfiltered = strip_filters(plan)
+    checked = 0
+    truncated = False
+    family = _instance_family(plan_semantics(plan), query, budget, max_instances, rng_seed=97)
+    for facts, cut in family:
+        inst = Instance(facts)
+        checked += 1
+        truncated = truncated or cut
+        answers = query_answers(query, inst)
+        if not answers:
+            continue
+        if not reference_eval_plan(unfiltered, inst, mode):
+            continue
+        delivered = reference_eval_plan(plan, inst, mode)
+        if not (delivered & answers):
+            return OracleReport(False, inst, True, checked)
+    return OracleReport(True, None, not truncated, checked)
+
+
+def reference_oracle_is_smart(
+    plan, query, budget=6, max_instances=20000, mode=OPTIONAL_EDGE
+):
+    """``oracle_is_smart`` evaluating every member of the family, the plan
+    and its filter-free version separately."""
+    unfiltered = strip_filters(plan)
+    checked = 0
+    truncated = False
+    family = _instance_family(plan_semantics(plan), query, budget, max_instances, rng_seed=193)
+    for facts, cut in family:
+        inst = Instance(facts)
+        checked += 1
+        truncated = truncated or cut
+        if not reference_eval_plan(unfiltered, inst, mode):
+            continue
+        if reference_eval_plan(plan, inst, mode) != query_answers(query, inst):
+            return OracleReport(False, inst, True, checked)
+    return OracleReport(True, None, not truncated, checked)
+
+
+def report_key(report):
+    """What two oracle reports must agree on."""
+    witness = None if report.witness is None else sorted(report.witness.facts, key=str)
+    return (report.verdict, witness, report.complete, report.instances_checked)
 
 
 def fig1_catalog():
