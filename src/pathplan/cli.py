@@ -1,12 +1,14 @@
 """Command-line surface: plan enumeration, checking, evaluation, synthesis.
 
-Exit codes: 0 success, 2 usage or parse error, 3 no plan found, 4 check
-failed, 5 characterization and oracle disagree.
+Exit codes: 0 success, 2 usage or parse error (including a path that cannot
+be read or written and query text that is not ``NAME`` or ``NAME^-``), 3 no
+plan found, 4 check failed, 5 characterization and oracle disagree.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from typing import List, Optional
@@ -28,7 +30,12 @@ def _load_catalog(path: str):
         return dsl.parse_catalog(fh.read(), source_name=path)
 
 
+_QUERY_RE = re.compile(dsl._NAME + r"(?:\^-)?")
+
+
 def _parse_query(text: str, constant: str) -> AtomicQuery:
+    if not _QUERY_RE.fullmatch(text):
+        raise dsl.ParseError(f"query {text!r} is not NAME or NAME^-")
     return AtomicQuery(dsl.parse_atom_text(text), constant)
 
 
@@ -204,15 +211,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first `main` call, not at import, and reused by every later
+# one: `parse_args` leaves the parser unchanged and returns a new namespace,
+# and help and errors read `sys.stdout`, `sys.stderr` and the terminal width
+# when they print.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (dsl.ParseError, FileNotFoundError, ValueError) as exc:
+    except (dsl.ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except engine.EmptyCatalogError as exc:

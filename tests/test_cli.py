@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+from pathplan import cli
 from pathplan.cli import main
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
@@ -214,3 +217,95 @@ def test_plans_one_notes_truncation(tmp_path, capsys):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert "f13" in captured.out and captured.err == ""
+
+
+def test_unreadable_paths_are_usage_errors(capsys):
+    # A directory where a file is expected: one error line, exit code 2.
+    fig1, pi1 = demo("fig1.cat"), demo("pi1.plan")
+    for argv in (
+        ["plans", "--functions", DEMO, "--query", "jobTitle"],
+        ["plans", "--functions", fig1, "--query", "jobTitle", "--out", DEMO],
+        ["check", "--functions", fig1, "--plan", DEMO, "--query", "jobTitle"],
+        ["eval", "--functions", fig1, "--instance", DEMO, "--plan", pi1],
+        ["eval", "--functions", fig1, "--instance", demo("fig1.inst"), "--plan", DEMO],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
+
+def test_malformed_query_is_usage_error(capsys):
+    for query in ("", "r^-^-", "a b", "1x", " jobTitle", "jobTitle^"):
+        for command in ("plans", "check"):
+            argv = [command, "--functions", demo("fig1.cat"), "--query", query]
+            if command == "check":
+                argv += ["--plan", demo("pi1.plan")]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "NAME" in captured.err, argv
+    # Well-formed relations that no plan answers still mean "no plan".
+    for query in ("nope", "jobTitle^-"):
+        code, out = run(capsys, "plans", "--functions", demo("fig1.cat"), "--query", query)
+        assert (code, out) == (3, ""), query
+
+
+def _fresh_process(argv):
+    """Run argv as `python -m pathplan.cli` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "pathplan.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_shared_parser_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # One process, many `main` calls on one parser: each call must print and
+    # return what the same argv does in a process of its own.
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the same width in both
+    builds = []
+    original = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    fig1, music = demo("fig1.cat"), demo("music.cat")
+    out_file = tmp_path / "plans.txt"
+    with_out = ["plans", "--functions", fig1, "--query", "jobTitle", "--out", str(out_file)]
+    sequence = [
+        ["plans", "--functions", cat, "--query", query, "--mode", mode]
+        for cat, query in ((fig1, "jobTitle"), (music, "sing"))
+        for mode in ("weak", "smart", "susie", "one")
+    ] + [
+        with_out,
+        ["plans", "--functions", music, "--query", "sing", "--mode", "weak"],
+        ["check", "--functions", fig1, "--plan", demo("pi1.plan"), "--query", "jobTitle",
+         "--level", "smart", "--oracle"],
+        ["eval", "--functions", fig1, "--instance", demo("fig1.inst"),
+         "--plan", demo("pi1.plan")],
+        ["--help"],
+        ["plans", "--help"],
+        ["plans", "--functions", fig1],
+        ["nonsense"],
+    ]
+    shared = []
+    for argv in sequence:
+        code = main(argv)
+        captured = capsys.readouterr()
+        shared.append((code, captured.out, captured.err))
+    assert len(builds) == 1
+    # The plans call after the --out one wrote no file: it kept its own default.
+    written = shared[sequence.index(with_out)][1]
+    assert out_file.read_text(encoding="utf-8") == written == EXPECTED_SMART
+    for argv, got in zip(sequence, shared):
+        assert got == _fresh_process(argv), argv
+    assert original() is not original()
