@@ -1,8 +1,13 @@
 """Command-line surface: plan enumeration, checking, evaluation, synthesis.
 
-Exit codes: 0 success, 2 usage or parse error (including a path that cannot
-be read or written and query text that is not ``NAME`` or ``NAME^-``), 3 no
-plan found, 4 check failed, 5 characterization and oracle disagree.
+Exit codes: 0 success, 2 usage or parse error, 3 no plan found, 4 check
+failed, 5 characterization and oracle disagree.  Usage errors include a path
+that cannot be read or written, query text that is not ``NAME`` or
+``NAME^-``, ``--max-plans`` or ``--budget`` below 1 and ``--timeout`` below
+0; a parse error names the file that does not parse.
+
+In-process ``main`` calls share one argparse parser and reuse the parsed
+catalog of unchanged ``--functions`` text (see ``_load_catalog``).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import argparse
 import re
 import sys
 import time
+from collections import OrderedDict
 from typing import List, Optional
 
 from . import characterize, dsl, engine, evaluate, synth
@@ -25,9 +31,46 @@ EXIT_DISAGREEMENT = 5
 DEFAULT_CONSTANT = "a"
 
 
-def _load_catalog(path: str):
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return dsl.parse_catalog(fh.read(), source_name=path)
+        return fh.read()
+
+
+def _parse(path: str, parse, text: str, *args):
+    """``parse(text, *args)``, whose parse errors name ``path``, the file read."""
+    try:
+        return parse(text, *args)
+    except dsl.ParseError as exc:
+        raise dsl.ParseError(f"{path}: {exc}") from exc
+
+
+# Parsed catalogs of the last few `_load_catalog` calls, keyed by file text
+# and path, most recent last.  One catalog's queries and modes run back to
+# back, so eight entries (the bound of `engine._templates`) serve them all,
+# and a pass of perfbench's enum-small workload (154 catalogs) never reuses
+# a parse from the pass before it.  The file is read on every call, so a
+# rewritten file is parsed afresh; the path is in the key because the
+# document and its errors name it.  A parse error is raised, never stored.
+# `dsl.parse_catalog` is looked up at each parse, so a wrapper bound there
+# (a tracer, a test's counter) sees every real parse.  An OrderedDict, not
+# `functools.lru_cache`, which would leave `__wrapped__` on a module
+# attribute, where perfbench's selftest reads it as a tracer left bound.
+_CATALOG_MEMO_SIZE = 8
+_catalogs: "OrderedDict[tuple, dsl.CatalogDocument]" = OrderedDict()
+
+
+def _load_catalog(path: str) -> dsl.CatalogDocument:
+    text = _read(path)
+    key = (text, path)
+    doc = _catalogs.get(key)
+    if doc is None:
+        doc = _parse(path, dsl.parse_catalog, text, path)
+        if len(_catalogs) >= _CATALOG_MEMO_SIZE:
+            _catalogs.popitem(last=False)
+        _catalogs[key] = doc
+    else:
+        _catalogs.move_to_end(key)
+    return doc
 
 
 _QUERY_RE = re.compile(dsl._NAME + r"(?:\^-)?")
@@ -77,8 +120,7 @@ def _cmd_plans(args) -> int:
 def _cmd_check(args) -> int:
     doc = _load_catalog(args.functions)
     query = _parse_query(args.query, DEFAULT_CONSTANT)
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        plan = dsl.parse_plan(fh.read(), list(doc))
+    plan = _parse(args.plan, dsl.parse_plan, _read(args.plan), list(doc))
     if plan.constant != query.constant:
         query = AtomicQuery(query.relation, plan.constant)
     if args.level == "weak":
@@ -106,10 +148,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_eval(args) -> int:
     doc = _load_catalog(args.functions)
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        instance = dsl.parse_instance(fh.read(), source_name=args.instance)
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        plan = dsl.parse_plan(fh.read(), list(doc))
+    instance = _parse(args.instance, dsl.parse_instance, _read(args.instance), args.instance)
+    plan = _parse(args.plan, dsl.parse_plan, _read(args.plan), list(doc))
     query = AtomicQuery(Atom("_"), plan.constant)  # relation unused by eval
     mode = (
         evaluate.OPTIONAL_EDGE
@@ -156,6 +196,19 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _at_least(kind, low):
+    """An argparse type: ``kind(text)``, rejected below ``low`` (and NaN)."""
+
+    def convert(text):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__  # "invalid int value: 'x'", as before
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathplan",
@@ -167,8 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functions", required=True)
     p.add_argument("--query", required=True, help="relation name, ^- suffix for inverse")
     p.add_argument("--mode", choices=["weak", "smart", "susie", "one"], default="smart")
-    p.add_argument("--max-plans", type=int, default=10000)
-    p.add_argument("--timeout", type=float, default=0.0, help="seconds, 0 = none")
+    p.add_argument("--max-plans", type=_at_least(int, 1), default=10000)
+    p.add_argument(
+        "--timeout", type=_at_least(float, 0), default=0.0, help="seconds, 0 = none"
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_plans)
 
@@ -178,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--level", choices=["weak", "smart"], default="weak")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--budget", type=int, default=6)
+    p.add_argument("--budget", type=_at_least(int, 1), default=6)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("eval", help="evaluate a plan on an instance")

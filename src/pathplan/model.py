@@ -9,7 +9,7 @@ oriented relation atoms plus boundary positions for filters and the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 
@@ -91,6 +91,8 @@ class PathFunction:
     name: str
     skeleton: tuple
     outputs: tuple
+    # The 1-based pivot position or None, found once by ``__post_init__``.
+    _pivot: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.skeleton:
@@ -101,16 +103,17 @@ class PathFunction:
             raise ModelError(f"function {self.name}: no output positions")
         if list(outs) != sorted(set(outs)) or outs[0] < 1 or outs[-1] > n:
             raise ModelError(f"function {self.name}: bad output positions {outs}")
-        if len(pivot_positions(self.skeleton)) > 1:
+        pivots = pivot_positions(self.skeleton)
+        if len(pivots) > 1:
             raise MultiPivotError(f"function {self.name}: more than one loop pivot")
         object.__setattr__(self, "outputs", outs)
+        object.__setattr__(self, "_pivot", pivots[0] if pivots else None)
 
     def __len__(self) -> int:
         return len(self.skeleton)
 
     def pivot(self) -> Optional[int]:
-        pivots = pivot_positions(self.skeleton)
-        return pivots[0] if pivots else None
+        return self._pivot
 
     def __str__(self) -> str:
         return f"{self.name} = {skeleton_text(self.skeleton)} | out {' '.join(map(str, self.outputs))}"

@@ -170,6 +170,8 @@ def sweep(
         raise ValueError("axis must be 'relations' or 'functions'")
     if not values:
         raise ValueError("empty sweep range")
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     rows = []
     timeouts = 0
     query_count = 0

@@ -309,3 +309,118 @@ def test_shared_parser_matches_fresh_processes(tmp_path, monkeypatch, capsys):
     for argv, got in zip(sequence, shared):
         assert got == _fresh_process(argv), argv
     assert original() is not original()
+
+
+def test_catalog_memo_follows_file_text(tmp_path, monkeypatch, capsys):
+    # In-process calls reuse the parse of unchanged catalog text only.
+    from collections import OrderedDict
+
+    from pathplan import dsl
+
+    parses = []
+    original = dsl.parse_catalog
+
+    def counted(*args, **kwargs):
+        parses.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "parse_catalog", counted)
+    monkeypatch.setattr(cli, "_catalogs", OrderedDict())
+    fig1 = tmp_path / "fig1.cat"
+    fig1.write_text(open(demo("fig1.cat"), encoding="utf-8").read(), encoding="utf-8")
+    argv = ["plans", "--functions", str(fig1), "--query", "jobTitle"]
+    for mode in ("smart", "weak", "one", "smart"):
+        assert main(argv + ["--mode", mode]) == 0
+    assert len(parses) == 1
+    assert capsys.readouterr().out.startswith(EXPECTED_SMART + EXPECTED_WEAK)
+
+    # Rewritten between two calls: the new text gives the new plans.
+    fig1.write_text("getJob = jobTitle\n", encoding="utf-8")
+    code, out = run(capsys, *argv)
+    assert (code, out) == (0, "call getJob(a -> v0)\noutput v0\n")
+    assert len(parses) == 2
+
+    # Malformed text: exit 2 and the same message on every call, never stored.
+    bad = tmp_path / "bad.cat"
+    bad.write_text("f = r\ng = \n", encoding="utf-8")
+    errors = []
+    for _ in range(3):
+        assert main(["plans", "--functions", str(bad), "--query", "r"]) == 2
+        errors.append(capsys.readouterr().err)
+    expected = f"error: {bad}: line 2, col 1: expected NAME = atom (. atom)* (| out INT+)?\n"
+    assert errors == [expected] * 3
+    assert len(parses) == 5
+
+    # The same text at two paths: each error names its own path.
+    twin = tmp_path / "twin.cat"
+    twin.write_text(bad.read_text(encoding="utf-8"), encoding="utf-8")
+    for path in (bad, twin, bad):
+        assert main(["plans", "--functions", str(path), "--query", "r"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 2")
+    # A well-formed twin parses once per path, as its document names the path.
+    good = tmp_path / "good.cat"
+    good.write_text("f = r\n", encoding="utf-8")
+    twin.write_text("f = r\n", encoding="utf-8")
+    before = len(parses)
+    for path in (good, twin, good, twin):
+        code, out = run(capsys, "plans", "--functions", str(path), "--query", "r")
+        assert (code, out) == (0, "call f(a -> v0)\noutput v0\n")
+    assert len(parses) - before == 2
+    assert {doc.source_name for doc in cli._catalogs.values()} >= {str(good), str(twin)}
+    assert len(cli._catalogs) <= cli._CATALOG_MEMO_SIZE
+
+
+def test_catalog_memo_is_bounded(tmp_path, monkeypatch, capsys):
+    from collections import OrderedDict
+
+    monkeypatch.setattr(cli, "_catalogs", OrderedDict())
+    paths = []
+    for i in range(cli._CATALOG_MEMO_SIZE + 3):
+        path = tmp_path / f"c{i}.cat"
+        path.write_text("f = r\n", encoding="utf-8")
+        paths.append(str(path))
+        assert main(["plans", "--functions", str(path), "--query", "r"]) == 0
+    capsys.readouterr()
+    assert [key[1] for key in cli._catalogs] == paths[-cli._CATALOG_MEMO_SIZE:]
+
+
+BAD_NUMBERS = [
+    ["plans", "--functions", demo("fig1.cat"), "--query", "jobTitle", "--mode", "weak",
+     "--max-plans", value]
+    for value in ("0", "-3")
+] + [
+    ["plans", "--functions", demo("fig1.cat"), "--query", "jobTitle", "--mode", "one",
+     "--timeout", value]
+    for value in ("-1", "nan")
+] + [
+    ["check", "--functions", demo("fig1.cat"), "--plan", demo("pi1.plan"),
+     "--query", "jobTitle", "--oracle", "--budget", value]
+    for value in ("0", "-1")
+]
+
+
+def test_out_of_range_numbers_are_usage_errors(capsys):
+    for argv in BAD_NUMBERS:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        flag = argv[-2]
+        assert captured.out == "", argv
+        assert f"argument {flag}: must be at least" in captured.err, argv
+        assert (2, "", captured.err) == _fresh_process(argv), argv
+    # The bounds themselves are accepted; --timeout 0 means no limit.
+    for argv, expected in (
+        (BAD_NUMBERS[0][:-1] + ["1"], EXPECTED_WEAK),
+        (BAD_NUMBERS[2][:-1] + ["0"], EXPECTED_WEAK),
+    ):
+        assert run(capsys, *argv) == (0, expected), argv
+    code, out = run(capsys, *BAD_NUMBERS[4][:-1], "1")
+    assert code == 0 and out.startswith("check: weakly smart\noracle: pass")
+
+
+def test_bench_without_seeds_is_usage_error(capsys):
+    argv = ["bench", "--axis", "relations", "--fixed", "3", "--min", "2", "--max", "2",
+            "--seeds", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seeds must be at least 1, got 0\n"
+    assert (2, "", captured.err) == _fresh_process(argv)

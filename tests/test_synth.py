@@ -109,6 +109,13 @@ def test_sweep_csv_header():
     assert len(text.splitlines()) == 5
 
 
+def test_sweep_needs_a_seed():
+    # Zero seeds would average over nothing: a ValueError, not a ZeroDivisionError.
+    for seeds in (0, -1):
+        with pytest.raises(ValueError, match="seeds must be at least 1"):
+            sweep("relations", 3, [2], seeds=seeds)
+
+
 def test_answered_fractions_propagates_errors(monkeypatch):
     # Only a bug can raise here (a deadline ends the search quietly), so it
     # must not be booked as a timeout.
