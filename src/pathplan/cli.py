@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 usage or parse error, 3 no plan found, 4 check
 failed, 5 characterization and oracle disagree.  Usage errors include a path
 that cannot be read or written, query text that is not ``NAME`` or
-``NAME^-``, ``--max-plans`` or ``--budget`` below 1 and ``--timeout`` below
-0; a parse error names the file that does not parse.
+``NAME^-``, ``--max-plans``, ``--budget`` or ``--step`` below 1,
+``--timeout`` below 0 and ``--timeout-ms`` at or below 0; a parse error
+names the file that does not parse.
 
 In-process ``main`` calls share one argparse parser and reuse the parsed
 catalog of unchanged ``--functions`` text (see ``_load_catalog``).
@@ -196,17 +197,22 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _at_least(kind, low):
-    """An argparse type: ``kind(text)``, rejected below ``low`` (and NaN)."""
+def _number(kind, accepts, bound):
+    """An argparse type: ``kind(text)``, rejected (NaN too) unless
+    ``accepts`` it; ``bound`` says what is accepted."""
 
     def convert(text):
         value = kind(text)
-        if not value >= low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
 
     convert.__name__ = kind.__name__  # "invalid int value: 'x'", as before
     return convert
+
+
+def _at_least(kind, low):
+    return _number(kind, lambda value: value >= low, f"at least {low}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,9 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", type=int, required=True)
     p.add_argument("--min", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--step", type=int, default=1)
+    p.add_argument("--step", type=_at_least(int, 1), default=1)
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--timeout-ms", type=float, default=2000.0)
+    p.add_argument(
+        "--timeout-ms", type=_number(float, lambda ms: ms > 0, "above 0"), default=2000.0
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
     return parser

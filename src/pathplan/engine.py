@@ -25,16 +25,19 @@ position, so they are seeded explicitly rather than discovered mid-scan.
 
 Every structure that can join a state (an ender, beginner, valley or
 designated call, a beginner-ender pair, a seed extra) is a template:
-members without a token, plus the atom it emits on entry.  Each of its
-calls says once, where it is built, how many atoms it adds to the forward
-path and which stretch of the backward walk it covers, as offsets from the
-scan it enters at.  A state looks its candidates up by the atom its
-members emit next, in closure order, and runs every check on the
-templates; a combination is stamped with fresh tokens and its entry scan
-only when it joins, so one template can become several calls of a plan.
-A plan is assembled from the stamped records: the forward path's pieces
-in the order they start, then the walk stretches chained from the path's
-top to the walk's end.
+members without a token, plus the atom it emits on entry.  Each member is
+a window ``lo..hi`` of its view, keyed by it (``_piece``); two windows
+meeting at the view's pivot form a peak, a turn or a dip (``_peak``,
+``_turn``, ``_dip``), so a family of calls states only its guard and its
+stretch.  Each call says once, where it is built, how many atoms it adds
+to the forward path and which stretch of the backward walk it covers, as
+offsets from the scan it enters at.  A state looks its candidates up by
+the atom its members emit next, in closure order, and runs every check on
+the templates; a combination is stamped with fresh tokens and its entry
+scan only when it joins, so one template can become several calls of a
+plan.  A plan is assembled from the stamped records: the forward path's
+pieces in the order they start, then the walk stretches chained from the
+path's top to the walk's end.
 
 The templates that follow from the closure alone (the ender, beginner,
 valley and designated tables and the beginner-ender pairs) are built once
@@ -60,7 +63,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .characterize import is_bounded, weakly_smart_skeleton
@@ -220,6 +223,37 @@ class _Call:
         object.__setattr__(self, "path_after", 0 if piece is None else 1 - piece.index)
 
 
+def _piece(v: SubFunction, lo: int, hi: int, index: int, forward: bool, designated=False) -> Member:
+    """The member of view ``v`` over its atoms ``lo..hi`` (1-based), keyed
+    by that window."""
+    return Member(v.key + (lo, hi), v.skeleton[lo - 1 : hi], index, forward, designated)
+
+
+def _peak(v: SubFunction, lo: int, hi: int, designated=False) -> tuple:
+    """A call climbing from the entry scan over atoms ``lo..p`` to the
+    view's pivot p, whose descent ``p+1..hi`` idles until the scan reaches
+    its window."""
+    p = v.parent.pivot()
+    return (_piece(v, lo, p, 1, FORWARD, designated), _piece(v, p + 1, hi, p - lo + 1, BACKWARD))
+
+
+def _turn(v: SubFunction, hi: int, designated: bool) -> tuple:
+    """A call descending over atoms ``p+1..hi`` into the entry scan, p the
+    view's pivot, whose ascent ``1..p`` is pending for ``hi - 2p`` scans."""
+    p = v.parent.pivot()
+    ascent = _piece(v, 1, p, 1 + 2 * p - hi, FORWARD, designated)
+    return (ascent, _piece(v, p + 1, hi, hi - p, BACKWARD))
+
+
+def _dip(v: SubFunction, p: int) -> _Call:
+    """A call diving through its atom ``p`` and climbing back over ``p+1``:
+    atoms ``1..p-1`` descend into the entry position and ``p+2..n`` climb
+    out of it.  A side without atoms has no member."""
+    n = len(v)
+    sides = (_piece(v, 1, p - 1, p - 1, BACKWARD), _piece(v, p + 2, n, 1, FORWARD))
+    return _Call(v, tuple(m for m in sides if m.atoms), (p - 1, n - p - 1))
+
+
 @dataclass(frozen=True)
 class _Structure:
     """Calls entering a state together, with what the run-time checks read:
@@ -248,20 +282,6 @@ def _structure(*calls: _Call) -> Optional[_Structure]:
         emission,
         sum(1 for m in members if m.designated and m.index >= 1),
         any(m.designated and m.index < 1 for m in members),
-    )
-
-
-def _pair(b: _Structure, e: _Structure) -> Optional[_Structure]:
-    """A beginner and an ender entering together, or None when they clash
-    or share a member."""
-    if not _compatible(b.emission, e.emission) or not b.member_set.isdisjoint(e.member_set):
-        return None
-    return _Structure(
-        b.calls + e.calls,
-        b.member_set | e.member_set,
-        e.emission if b.emission is None else b.emission,
-        b.designated + e.designated,
-        b.opens or e.opens,
     )
 
 
@@ -320,7 +340,10 @@ class _Table:
 
 class _Templates:
     """What the search builds from the closure alone: the ender, beginner,
-    valley and designated tables and the beginner-ender pairs.
+    valley and designated tables and the beginner-ender pairs.  Their calls
+    are windows of their views (``_piece``): straight, peaks (``_peak``),
+    turns (``_turn``) or valleys; dips (``_dip``) reach the query atom, so
+    only a query's searcher builds them.
 
     Nothing here depends on a query, a seed mode or a run, so one instance
     serves every search on an equal closure (``_templates``).  It never
@@ -347,79 +370,50 @@ class _Templates:
         found = self._pair_lists.get(atom)
         if found is None:
             enders = self.enders.matching(atom)
-            pairs = (_pair(b, e) for b in self.beginners.matching(atom) for e in enders)
+            beginners = self.beginners.matching(atom)
+            pairs = (_structure(*b.calls, *e.calls) for b in beginners for e in enders)
             found = self._pair_lists[atom] = [p for p in pairs if p is not None]
         return found
 
     def _ender_calls(self):
         """Calls whose walk stretch ends at the entry position."""
         for v in self.closure:
-            sk = v.skeleton
-            m = Member(v.key + (1, len(sk)), sk, len(sk), BACKWARD)
-            yield _Call(v, (m,), (len(sk), 0))
-        for v, pivot in self._loops:
-            sk = v.skeleton
-            a_win = sk[:pivot]
-            d_win = sk[pivot:]
-            after = len(d_win) - len(a_win)
-            if after < 0:
-                continue
+            yield _Call(v, (_piece(v, 1, len(v), len(v), BACKWARD),), (len(v), 0))
+        for v, p in self._loops:
+            n = len(v)
             # The descent enters at this position; the ascent is pending
-            # until the scan reaches its window, ``after`` scans on.
-            m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(d_win), BACKWARD)
-            # Peak call: the ascent climbs mid-walk.
-            m1 = Member(v.key + (1, pivot), a_win, 1 - after, FORWARD)
-            yield _Call(v, (m1, m2), (after, 0))
+            # until the scan reaches its window, ``after`` scans on.  It
+            # climbs mid-walk, or in a turn call it is the forward path's
+            # final piece.
+            after = n - 2 * p
+            if after >= 0:
+                yield _Call(v, _turn(v, n, False), (after, 0))
             if after > 0:
-                # Turn call: the ascent is the forward path's final piece.
-                m1 = replace(m1, designated=True)
-                yield _Call(v, (m1, m2), (len(d_win), 0))
+                yield _Call(v, _turn(v, n, True), (n - p, 0))
 
     def _beginner_calls(self):
         """Calls whose walk stretch begins at the entry position."""
         for v in self.closure:
-            sk = v.skeleton
-            m = Member(v.key + (1, len(sk)), sk, 1, FORWARD)
-            yield _Call(v, (m,), (0, len(sk)))
-        for v, pivot in self._loops:
-            # Peak call climbing from this position; its descending half
-            # idles until the scan reaches its window.
-            sk = v.skeleton
-            a_win = sk[:pivot]
-            d_win = sk[pivot:]
-            if len(d_win) > len(a_win):
-                continue
-            m1 = Member(v.key + (1, pivot), a_win, 1, FORWARD)
-            m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD)
-            yield _Call(v, (m1, m2), (0, len(a_win) - len(d_win)))
+            yield _Call(v, (_piece(v, 1, len(v), 1, FORWARD),), (0, len(v)))
+        for v, p in self._loops:
+            if 2 * p >= len(v):
+                yield _Call(v, _peak(v, 1, len(v)), (0, 2 * p - len(v)))
 
     def _valley_calls(self):
         """Single calls descending into and climbing out of the entry
         position."""
-        for v, pivot in self._loops:
-            sk = v.skeleton
-            pre = sk[:pivot]
-            post = sk[pivot:]
-            m1 = Member(v.key + (1, pivot), pre, pivot, BACKWARD)
-            m2 = Member(v.key + (pivot + 1, len(sk)), post, 1, FORWARD)
-            yield _Call(v, (m1, m2), (len(pre), len(post)))
+        for v, p in self._loops:
+            ends = (_piece(v, 1, p, p, BACKWARD), _piece(v, p + 1, len(v), 1, FORWARD))
+            yield _Call(v, ends, (p, len(v) - p))
 
     def _designated_calls(self):
         """The forward path's next piece: any view, or a turn call whose
         last forward piece and first walk descent cross the top."""
         for v in self.closure:
-            sk = v.skeleton
-            m = Member(v.key + (1, len(sk)), sk, 1, FORWARD, designated=True)
-            yield _Call(v, (m,))
-        for v, pivot in self._loops:
-            sk = v.skeleton
-            a_win = sk[:pivot]
-            d_win = sk[pivot:]
-            if len(d_win) > len(a_win):
-                continue
-            m1 = Member(v.key + (1, pivot), a_win, 1, FORWARD, designated=True)
-            m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD)
-            yield _Call(v, (m1, m2), (len(a_win), len(a_win) - len(d_win)))
+            yield _Call(v, (_piece(v, 1, len(v), 1, FORWARD, True),))
+        for v, p in self._loops:
+            if 2 * p >= len(v):
+                yield _Call(v, _peak(v, 1, len(v), True), (p, 2 * p - len(v)))
 
 
 # A catalog's queries and modes run back to back, so a few entries serve
@@ -545,61 +539,32 @@ class _Searcher:
         atom."""
         rel = self.query.relation
         for v in self.closure:
-            sk = v.skeleton
-            if len(sk) < 2 or sk[0] != rel:
+            n = len(v)
+            if n < 2 or v.skeleton[0] != rel:
                 continue
-            window = sk[1:]
-            m = Member(v.key + (2, len(sk)), window, 1, FORWARD, designated=True)
-            yield _Call(v, (m,))
-            pivot = v.parent.pivot()
-            if pivot is None or pivot < 2 or pivot >= len(sk):
-                continue
-            a_win = sk[1:pivot]
-            d_win = sk[pivot:]
-            if len(d_win) <= len(a_win):
-                m1 = Member(v.key + (2, pivot), a_win, 1, FORWARD, designated=True)
-                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD)
-                yield _Call(v, (m1, m2), (len(a_win), len(a_win) - len(d_win)))
+            yield _Call(v, (_piece(v, 2, n, 1, FORWARD, True),))
+            p = v.parent.pivot()
+            if p is not None and p < n < 2 * p:
+                yield _Call(v, _peak(v, 2, n, True), (p - 1, 2 * p - 1 - n))
 
     def _tail_calls(self):
         """Calls entering at walk position 0 and ending the walk at 1."""
-        rel = self.query.relation
+        inverse = self.query.relation.invert()
         for v in self.closure:
-            sk = v.skeleton
-            if sk == (rel.invert(),):
+            p = v.parent.pivot()
+            if v.skeleton == (inverse,):
                 yield _Call(v, (), (-1, 0))
-            elif len(sk) >= 3 and sk[0] == rel.invert():
-                pivot = v.parent.pivot()
-                if pivot is None or pivot < 2 or pivot >= len(sk):
-                    continue
-                a_win = sk[1:pivot]
-                d_win = sk[pivot:]
-                if not a_win or len(a_win) != len(d_win):
-                    continue
-                m1 = Member(v.key + (2, pivot), a_win, 1, FORWARD)
-                m2 = Member(v.key + (pivot + 1, len(sk)), d_win, len(a_win), BACKWARD)
-                yield _Call(v, (m1, m2), (-1, 0))
+            elif v.skeleton[0] == inverse and p is not None and 1 < p and len(v) == 2 * p - 1:
+                yield _Call(v, _peak(v, 2, len(v)), (-1, 0))
 
     def _dip_calls(self):
-        """Mid-walk calls diving through the query atom and climbing back."""
+        """Mid-walk calls diving through the query atom and climbing back.
+        A pure dive-and-return, ``rel.rel^-``, is removable, never minimal."""
         rel = self.query.relation
         for v in self.closure:
-            pivot = v.parent.pivot()
-            sk = v.skeleton
-            if pivot is None or pivot >= len(sk):
-                continue
-            if sk[pivot - 1] != rel:
-                continue
-            alpha = sk[: pivot - 1]
-            beta = sk[pivot + 1 :]
-            if not alpha and not beta:
-                continue  # pure dive-and-return: removable, never minimal
-            members = []
-            if alpha:
-                members.append(Member(v.key + (1, pivot - 1), alpha, len(alpha), BACKWARD))
-            if beta:
-                members.append(Member(v.key + (pivot + 2, len(sk)), beta, 1, FORWARD))
-            yield _Call(v, tuple(members), (len(alpha), len(beta)))
+            p = v.parent.pivot()
+            if p is not None and p < len(v) and v.skeleton[p - 1] == rel and len(v) > 2:
+                yield _dip(v, p)
 
     # -- seed construction ---------------------------------------------------
 
@@ -670,10 +635,8 @@ class _Searcher:
         """A final call descending straight to position 1, then the implicit
         query atom; the last ``drop`` atoms, at least one fewer than the
         view has, are excluded from the scan."""
-        sk = view.skeleton
-        window = sk[: len(sk) - drop]
-        m = Member(view.key + (1, len(window)), window, len(window), BACKWARD)
-        return _Call(view, (m,), (len(window), -1))
+        w = len(view) - drop
+        return _Call(view, (_piece(view, 1, w, w, BACKWARD),), (w, -1))
 
     def _bottoms(self, mode):
         """Final structures of one seed mode, each with a flag marking
@@ -701,26 +664,18 @@ class _Searcher:
         """Final-call structures whose skeleton ends with the query atom."""
         rel = self.query.relation
         for v in self.closure:
-            sk = v.skeleton
-            if len(sk) < 2 or sk[-1] != rel:
+            n = len(v)
+            if n < 2 or v.skeleton[-1] != rel:
                 continue
             yield _structure(self._trailing_call(v, 1)), False
-            pivot = v.parent.pivot()
-            if pivot is not None and pivot + 1 <= len(sk) - 1:
+            p = v.parent.pivot()
+            if p is not None and 2 * p < n:
                 # Turn usage: climb to the pivot, then descend to the
                 # implicit query atom.  The climb, pending until the scan
                 # reaches its window, is either the forward path's final
                 # piece (designated) or a mid-walk ascent.
-                a_win = sk[:pivot]
-                d_win = sk[pivot : len(sk) - 1]
-                after = len(d_win) - len(a_win)
-                if after < 0:
-                    continue
-                m_d = Member(v.key + (pivot + 1, len(sk) - 1), d_win, len(d_win), BACKWARD)
-                m_a = Member(v.key + (1, pivot), a_win, 1 - after, FORWARD, designated=True)
-                yield _structure(_Call(v, (m_a, m_d), (len(d_win), -1))), False
-                m_a = replace(m_a, designated=False)
-                yield _structure(_Call(v, (m_a, m_d), (after, -1))), False
+                yield _structure(_Call(v, _turn(v, n - 1, True), (n - 1 - p, -1))), False
+                yield _structure(_Call(v, _turn(v, n - 1, False), (n - 1 - 2 * p, -1))), False
 
     def _loose_bottoms(self):
         """Final structures for walks ending at position 1.
@@ -734,7 +689,7 @@ class _Searcher:
         tails = list(self._tail_calls())
         for v in self.closure:
             sk = v.skeleton
-            pivot = v.parent.pivot()
+            p = v.parent.pivot()
             # Dive-through ending: this call finishes with the query atom
             # (walk touches 0) and a tail call climbs back to position 1.
             if len(sk) >= 2 and sk[-1] == rel:
@@ -743,15 +698,8 @@ class _Searcher:
                     yield _structure(base, tail), True
             # Dip-terminal: the final call dives through the query atom and
             # climbs straight back to position 1.
-            if (
-                pivot is not None
-                and pivot + 1 == len(sk)
-                and pivot >= 2
-                and sk[pivot - 1] == rel
-            ):
-                alpha = sk[: pivot - 1]
-                m = Member(v.key + (1, pivot - 1), alpha, len(alpha), BACKWARD)
-                yield _structure(_Call(v, (m,), (len(alpha), 0))), True
+            if p is not None and 2 <= p == len(sk) - 1 and sk[p - 1] == rel:
+                yield _structure(_dip(v, p)), True
 
     # -- the depth-first search ------------------------------------------------
 

@@ -215,15 +215,6 @@ class ExecutionPlan:
     def constant(self) -> str:
         return self.calls[0].source if self.calls else ""
 
-    def variables(self) -> list:
-        out = []
-        for call in self.calls:
-            out.extend(call.outputs)
-        return out
-
-    def call_keys(self) -> tuple:
-        return tuple(c.view.key for c in self.calls)
-
 
 @dataclass(frozen=True)
 class PathSemantics:
@@ -260,7 +251,6 @@ def chain_plan(
     constant: str,
     filters: Sequence = (),
     two_output_last: bool = False,
-    output: Optional[str] = None,
 ) -> ExecutionPlan:
     """Build the canonical chained plan over single-output views.
 
@@ -281,8 +271,8 @@ def chain_plan(
         counter += len(bind)
         calls.append(FunctionCall(view, source, bind, names))
         source = names[-1]
-    out = output if output is not None else (calls[-1].outputs[-1] if calls else "")
-    return ExecutionPlan(tuple(calls), tuple(filters), out)
+    output = calls[-1].outputs[-1] if calls else ""
+    return ExecutionPlan(tuple(calls), tuple(filters), output)
 
 
 def plan_semantics(plan: ExecutionPlan) -> PathSemantics:

@@ -19,7 +19,7 @@ from .engine import (
     smart_plan_exists,
     susie_plans,
 )
-from .model import Atom, AtomicQuery, PathFunction
+from .model import Atom, AtomicQuery, PathFunction, pivot_positions
 
 APPROACHES = ("eqRewriting", "susie", "smart", "weaklySmart")
 
@@ -50,7 +50,6 @@ class SynthConfig:
     function_count: int
     max_length: int = 3
     seed: int = 0
-    allow_inverse: bool = True
 
     def __post_init__(self):
         if self.relation_count < 1 or self.function_count < 1 or self.max_length < 1:
@@ -65,19 +64,13 @@ def gen_catalog(cfg: SynthConfig) -> List[PathFunction]:
     """
     rng = SplitMix64(cfg.seed)
     atoms = [Atom(f"r{i}") for i in range(1, cfg.relation_count + 1)]
-    if cfg.allow_inverse:
-        atoms += [a.invert() for a in atoms]
+    atoms += [a.invert() for a in atoms]
     catalog = []
     for i in range(cfg.function_count):
         while True:
             length = 1 + rng.below(cfg.max_length)
             skeleton = tuple(atoms[rng.below(len(atoms))] for _ in range(length))
-            pivots = [
-                j
-                for j in range(length - 1)
-                if skeleton[j + 1] == skeleton[j].invert()
-            ]
-            if len(pivots) <= 1:
+            if len(pivot_positions(skeleton)) <= 1:
                 break
         catalog.append(PathFunction(f"f{i + 1}", skeleton, (length,)))
     return catalog

@@ -396,16 +396,28 @@ BAD_NUMBERS = [
     ["check", "--functions", demo("fig1.cat"), "--plan", demo("pi1.plan"),
      "--query", "jobTitle", "--oracle", "--budget", value]
     for value in ("0", "-1")
+] + [
+    ["bench", "--axis", "relations", "--fixed", "3", "--min", "2", "--max", "2",
+     "--seeds", "1", flag, value]
+    for flag, values in (("--timeout-ms", ("0", "-5", "nan")), ("--step", ("0", "-1")))
+    for value in values
 ]
+BOUNDS = {
+    "--max-plans": "at least 1",
+    "--timeout": "at least 0",
+    "--budget": "at least 1",
+    "--timeout-ms": "above 0",
+    "--step": "at least 1",
+}
 
 
 def test_out_of_range_numbers_are_usage_errors(capsys):
     for argv in BAD_NUMBERS:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
-        flag = argv[-2]
+        flag, value = argv[-2:]
         assert captured.out == "", argv
-        assert f"argument {flag}: must be at least" in captured.err, argv
+        assert f"argument {flag}: must be {BOUNDS[flag]}, got {value!r}" in captured.err, argv
         assert (2, "", captured.err) == _fresh_process(argv), argv
     # The bounds themselves are accepted; --timeout 0 means no limit.
     for argv, expected in (

@@ -557,6 +557,43 @@ def test_lead_calls_skip_views_ending_at_the_pivot():
     assert smart_plan_exists(q, cat)
 
 
+def test_template_members_hold_their_windows():
+    # Every member of a template call is a window lo..hi of the call's view:
+    # its key is the view's key plus that window, and its atoms are the
+    # view's atoms there.  The windows of one call do not overlap, so the
+    # turn check in the search, which compares the windows of one call's
+    # halves, reads what the call really covers.
+    def calls(closure, queries):
+        templates = engine._Templates(tuple(closure))
+        tables = (templates.enders, templates.beginners, templates.valleys, templates.designated)
+        structures = [s for table in tables for s in table.all]
+        own = []
+        for q in queries:
+            searcher = _Searcher(closure, q, modes=engine._SMART_MODES)
+            own += [*searcher._lead_calls(), *searcher._tail_calls(), *searcher._dip_calls()]
+            for mode in engine._SMART_MODES:
+                structures += [s for s, _ in searcher._bottoms(mode) if s is not None]
+        return own + [call for s in structures for call in s.calls]
+
+    catalogs = [_differential_catalog(t) for t in range(300)]
+    catalogs += itertools.islice(_no_existential_catalogs(), 696)
+    checked = 0
+    for cat in catalogs:
+        for call in calls(catalog_closure(cat), _oriented_queries(cat)):
+            view = call.view
+            windows = []
+            for m in call.members:
+                lo, hi = m.fn_key[2:]
+                assert m.fn_key == view.key + (lo, hi), (view, m)
+                assert 1 <= lo <= hi <= len(view), (view, m)
+                assert m.atoms == view.skeleton[lo - 1 : hi], (view, m)
+                windows.append((lo, hi))
+            windows.sort()
+            assert all(a[1] < b[0] for a, b in zip(windows, windows[1:])), (view, windows)
+            checked += len(windows)
+    assert checked == 47852  # members checked: no family is skipped unseen
+
+
 def test_weak_screen_is_necessary():
     # Every weakly smart skeleton ends with the query atom, or opens with
     # it and ends with the inverse of its second atom.
