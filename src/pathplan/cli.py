@@ -140,6 +140,12 @@ def _cmd_check(args) -> int:
             report = evaluate.oracle_is_smart(plan, query, budget=args.budget)
         oracle_pass = report.verdict
         print(f"oracle: {'pass' if oracle_pass else 'fail'} ({report.instances_checked} instances)")
+        if not report.complete:
+            print(
+                f"note: oracle incomplete: its exhaustive layer was cut at "
+                f"{evaluate.MAX_INSTANCES} instances (budget {args.budget})",
+                file=sys.stderr,
+            )
         if oracle_pass != passed:
             if report.witness is not None:
                 print(f"witness: {report.witness}", file=sys.stderr)

@@ -11,19 +11,26 @@ input slot and kept output slots are read before any instance is seen.  An
 instance is then evaluated in one pass over a deduplicated set of row tuples
 that hold only the variables a later call, a filter or the output reads,
 with each call run once per distinct input value.  The filter-free and the
-filtered results both come from that pass.  The oracles build an
-``Instance`` only for the members of their instance family that can refute:
-those with a fact leading from the plan's constant along its first atom,
-and for the weak oracle also a query-answer fact.  Skipped members still
-count in ``instances_checked``.
+filtered results both come from that pass.  The oracles evaluate the
+canonical database on the ``Instance`` that built it, and build an
+``Instance`` for a later member of their instance family only where it can
+refute: it holds a fact leading from the plan's constant along its first
+atom, and for the weak oracle also a query-answer fact.  The exhaustive and
+random layers draw from the query constant and three fresh names.  A
+bijection of the fresh names that fixes the query constant, the plan's
+constant and the filter constants maps an instance's plan results and
+query answers along with it, so it keeps the verdict; there the oracles
+evaluate one member per renaming class, the first in family order.
+Skipped members still count in ``instances_checked``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Set
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Set
 
 from .model import (
     Atom,
@@ -333,6 +340,9 @@ class OracleReport:
     instances_checked: int = 0
 
 
+MAX_INSTANCES = 20000  # the oracles' default cap on their exhaustive layer
+
+
 def _fact_universe(sem: PathSemantics, query: AtomicQuery) -> list:
     relations = {a.base for a in sem.skeleton} | {query.relation.base}
     pool = [query.constant] + _fresh_names(range(3), sem, query)
@@ -344,50 +354,84 @@ def _fact_universe(sem: PathSemantics, query: AtomicQuery) -> list:
     ]
 
 
+class _Layer(NamedTuple):
+    """Members of the instance family as index tuples into ``facts``.
+    ``renamable`` marks a layer drawn from the fact universe, which every
+    renaming of its fresh names maps onto itself; ``cut`` marks a layer
+    whose exhaustive part the cap cut off."""
+
+    facts: list
+    members: Iterator
+    renamable: bool
+    cut: bool
+
+
 def _instance_family(
+    canonical: Instance,
     sem: PathSemantics,
     query: AtomicQuery,
     budget: int,
     max_instances: int,
     rng_seed: int,
 ):
-    """Canonical database, its subsets, a capped exhaustive layer, and a
-    random layer.  Deterministic for fixed inputs.  Yields (facts,
-    truncated) pairs, one per member, as fact collections: the oracles build
-    an ``Instance`` only for the members that can refute.  truncated marks
-    the point where the exhaustive layer was cut off by the cap.
-    ``max_instances`` caps only the exhaustive layer: all 2^|facts| - 2
-    proper non-empty subsets of the canonical database are always
-    yielded."""
-    canonical = canonical_weak_database(sem, query)
-    yield canonical.facts, False
+    """The members that follow the canonical database, in two layers.
+
+    The first layer holds the canonical database's 2^|facts| - 2 proper
+    non-empty subsets, largest first, over its facts sorted by text.  The
+    second holds a capped exhaustive layer over ``_fact_universe`` and then
+    a random layer over it: the query constant and three fresh names in
+    every position of every relation.  ``max_instances`` caps only the
+    exhaustive part, so the subsets are always yielded in full.  Layers are
+    built only when asked for, and members are index tuples into the
+    layer's facts: the oracles build an ``Instance`` only for the members
+    that can refute.  Deterministic for fixed inputs.
+
+    A bijection of the fresh names that fixes the query constant, the
+    plan's constant and the filter constants commutes with evaluation: it
+    maps the universe layer onto itself and keeps whether a member refutes.
+    The oracles therefore evaluate one member per renaming class there and
+    count the others in ``instances_checked``."""
     facts = sorted(canonical.facts, key=str)
-    for k in range(len(facts) - 1, 0, -1):
-        for combo in itertools.combinations(facts, k):
-            yield combo, False
+    own = range(len(facts))
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(own, k) for k in range(len(own) - 1, 0, -1)
+    )
+    yield _Layer(facts, subsets, False, False)
     universe = _fact_universe(sem, query)
-    emitted = 0
-    truncated = False
-    for k in range(1, budget + 1):
-        for combo in itertools.combinations(universe, k):
-            emitted += 1
-            if emitted > max_instances:
-                truncated = True
-                break
-            yield combo, False
-        if truncated:
-            break
+    pool = range(len(universe))
+    sizes = range(1, budget + 1)
+    cap = max(max_instances, 0)
+    exhaustive = itertools.chain.from_iterable(itertools.combinations(pool, k) for k in sizes)
     rng = random.Random(rng_seed)
-    for _ in range(200):
-        k = rng.randint(1, max(1, budget))
-        yield rng.sample(universe, min(k, len(universe))), truncated
+    drawn = (rng.sample(pool, min(rng.randint(1, max(1, budget)), len(pool))) for _ in range(200))
+    cut = sum(math.comb(len(pool), k) for k in sizes) > cap
+    yield _Layer(universe, itertools.chain(itertools.islice(exhaustive, cap), drawn), True, cut)
 
 
-def _leaves(facts, atom: Atom, node: str) -> bool:
-    """Whether some fact leads from ``node`` along ``atom``."""
+def _leading(facts: Sequence[Fact], atom: Atom, node: str) -> set:
+    """Indices of the facts that lead from ``node`` along ``atom``."""
     if atom.inverse:
-        return any(f.relation == atom.base and f.object == node for f in facts)
-    return any(f.relation == atom.base and f.subject == node for f in facts)
+        return {i for i, f in enumerate(facts) if f.relation == atom.base and f.object == node}
+    return {i for i, f in enumerate(facts) if f.relation == atom.base and f.subject == node}
+
+
+def _renamings(universe: Sequence[Fact], fixed: Set[str]) -> list:
+    """Per bijection of the universe's names outside ``fixed``, the bit of
+    the fact that each fact maps to: a member's mask under the bijection is
+    the sum of its facts' bits, and the least mask over all of them is the
+    same for every member of a renaming class."""
+    names = [name for name in dict.fromkeys(f.subject for f in universe) if name not in fixed]
+    index = {(f.relation, f.subject, f.object): i for i, f in enumerate(universe)}
+    tables = []
+    for image in itertools.permutations(names):
+        to = dict(zip(names, image))
+        tables.append(
+            [
+                1 << index[f.relation, to.get(f.subject, f.subject), to.get(f.object, f.object)]
+                for f in universe
+            ]
+        )
+    return tables
 
 
 def _lead(plan: ExecutionPlan) -> tuple:
@@ -400,11 +444,72 @@ def _lead(plan: ExecutionPlan) -> tuple:
     return first.view.skeleton[0], first.source
 
 
+def _search(
+    plan: ExecutionPlan,
+    query: AtomicQuery,
+    budget: int,
+    max_instances: int,
+    mode: str,
+    rng_seed: int,
+    weak: bool,
+) -> OracleReport:
+    """The first member of the instance family on which the plan fails the
+    weak (or the full) smartness test, as a witness.
+
+    The canonical database is evaluated on the ``Instance`` that
+    ``canonical_weak_database`` built.  A later member is built and
+    evaluated only when it holds a fact leading from the plan's constant
+    along its first atom and, for the weak test, a query-answer fact, and,
+    in the universe layer, when no member of its renaming class was
+    evaluated before.  Every member counts in ``instances_checked``."""
+    sem = plan_semantics(plan)
+    compiled = _compile(plan, mode)
+
+    def refutes(inst: Instance) -> bool:
+        results, delivered = _answers(compiled, inst)
+        if not results:
+            return False
+        answers = query_answers(query, inst)
+        if weak:
+            return bool(answers) and not (delivered & answers)
+        return delivered != answers
+
+    canonical = canonical_weak_database(sem, query)
+    if refutes(canonical):
+        return OracleReport(False, canonical, True, 1)
+    checked = 1
+    truncated = False
+    atom, constant = _lead(plan)
+    fixed = {query.constant, constant} | {const for _, const in plan.filters}
+    for facts, members, renamable, cut in _instance_family(
+        canonical, sem, query, budget, max_instances, rng_seed
+    ):
+        truncated = truncated or cut
+        leads = _leading(facts, atom, constant)
+        # The full test needs no query-answer fact: it repeats the lead test.
+        answering = _leading(facts, query.relation, query.constant) if weak else leads
+        tables = _renamings(facts, fixed) if renamable else ()
+        seen = set()
+        for member in members:
+            checked += 1
+            if leads.isdisjoint(member) or answering.isdisjoint(member):
+                continue
+            if tables:
+                key = min([sum([bits[i] for i in member]) for bits in tables])
+                if key in seen:
+                    continue
+                seen.add(key)
+            inst = Instance([facts[i] for i in member])
+            if refutes(inst):
+                return OracleReport(False, inst, True, checked)
+    return OracleReport(True, None, not truncated, checked)
+
+
 def oracle_is_weakly_smart(
     plan: ExecutionPlan,
     query: AtomicQuery,
     budget: int = 6,
-    max_instances: int = 20000,
+    max_instances: int = MAX_INSTANCES,
     mode: str = OPTIONAL_EDGE,
 ) -> OracleReport:
     """Search the instance family for a weak-smartness counterexample.
@@ -417,36 +522,29 @@ def oracle_is_weakly_smart(
     The plan is compiled once, and one pass per instance gives both the
     filter-free results and the plan's answers.  A member is evaluated only
     when it holds a query-answer fact and a fact leading from the plan's
-    constant along its first atom; without either it cannot refute.
-    Skipped members still count in ``instances_checked``.
+    constant along its first atom; without either it cannot refute.  In the
+    exhaustive and random layers, which draw from the query constant and
+    three fresh names, a bijection of the fresh names that fixes the query
+    constant, the plan's constant and the filter constants maps the plan's
+    results, its answers and the query's answers along with the instance,
+    so it keeps the verdict: a member that such a renaming maps onto an
+    already evaluated one is not evaluated again.  Skipped members still
+    count in ``instances_checked``, and the first refuting member is still
+    the first in family order.
 
     ``max_instances`` caps only the exhaustive layer.  The canonical
     database and all 2^|facts| - 2 of its proper non-empty subsets are
     always checked, so ``instances_checked`` can exceed the cap; the report
     is marked incomplete only when the exhaustive layer was cut.
     """
-    sem = plan_semantics(plan)
-    compiled = _compile(plan, mode)
-    lead = _lead(plan)
-    checked = 0
-    truncated = False
-    for facts, cut in _instance_family(sem, query, budget, max_instances, rng_seed=97):
-        checked += 1
-        truncated = truncated or cut
-        if not (_leaves(facts, query.relation, query.constant) and _leaves(facts, *lead)):
-            continue
-        inst = Instance(facts)
-        results, delivered = _answers(compiled, inst)
-        if results and not (delivered & query_answers(query, inst)):
-            return OracleReport(False, inst, True, checked)
-    return OracleReport(True, None, not truncated, checked)
+    return _search(plan, query, budget, max_instances, mode, 97, weak=True)
 
 
 def oracle_is_smart(
     plan: ExecutionPlan,
     query: AtomicQuery,
     budget: int = 6,
-    max_instances: int = 20000,
+    max_instances: int = MAX_INSTANCES,
     mode: str = OPTIONAL_EDGE,
 ) -> OracleReport:
     """Refute smartness: some instance where the filter-free plan has results
@@ -455,25 +553,16 @@ def oracle_is_smart(
     The plan is compiled once, and one pass per instance gives both result
     sets.  A member is evaluated only when it holds a fact leading from the
     plan's constant along its first atom; without one the filter-free plan
-    has no result.  Skipped members still count in ``instances_checked``.
+    has no result.  In the exhaustive and random layers, a member that a
+    bijection of the fresh names maps onto an already evaluated one is not
+    evaluated again, as long as the bijection fixes the query constant, the
+    plan's constant and the filter constants: such a renaming maps both
+    result sets and the query's answers along with the instance.  Skipped
+    members still count in ``instances_checked``.
 
     ``max_instances`` caps only the exhaustive layer.  The canonical
     database and all 2^|facts| - 2 of its proper non-empty subsets are
     always checked, so ``instances_checked`` can exceed the cap; the report
     is marked incomplete only when the exhaustive layer was cut.
     """
-    sem = plan_semantics(plan)
-    compiled = _compile(plan, mode)
-    lead = _lead(plan)
-    checked = 0
-    truncated = False
-    for facts, cut in _instance_family(sem, query, budget, max_instances, rng_seed=193):
-        checked += 1
-        truncated = truncated or cut
-        if not _leaves(facts, *lead):
-            continue
-        inst = Instance(facts)
-        results, delivered = _answers(compiled, inst)
-        if results and delivered != query_answers(query, inst):
-            return OracleReport(False, inst, True, checked)
-    return OracleReport(True, None, not truncated, checked)
+    return _search(plan, query, budget, max_instances, mode, 193, weak=False)

@@ -112,6 +112,24 @@ def test_check_smart_with_oracle(capsys):
     assert code == 0
 
 
+def test_check_oracle_notes_a_cut_exhaustive_layer(capsys):
+    # At the default cap the demo's exhaustive layer is cut, so the pass is
+    # not exhaustive: stdout and the exit code stay, stderr says so once.
+    args = ["check", "--functions", demo("fig1.cat"), "--plan", demo("pi1.plan"),
+            "--query", "jobTitle", "--level", "smart", "--oracle"]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "check: smart\noracle: pass (20215 instances)\n"
+    assert captured.err == (
+        "note: oracle incomplete: its exhaustive layer was cut at 20000 instances (budget 6)\n"
+    )
+    # A budget whose exhaustive layer fits under the cap finishes silently.
+    code = main(args + ["--budget", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+
+
 def test_check_weak(capsys):
     code, _ = run(
         capsys, "check", "--functions", demo("fig1.cat"), "--plan", demo("pi1.plan"),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 from pathplan import (
@@ -373,7 +374,18 @@ def test_oracles_match_reference():
         (oracle_is_weakly_smart, reference_oracle_is_weakly_smart),
         (oracle_is_smart, reference_oracle_is_smart),
     ]
-    for plan in _reference_plans():
+    # Plans rooted at c0 or c1, fresh names of the oracles' pool for a query
+    # on a, and with a filter on c1, which moves the pool to c_0, c_1, c_2,
+    # rooted at c_1: a renaming of the pool must leave the root in place.
+    criterion2 = [p for fns in _chained_plan_cases() for p in _filter_variants(fns)]
+    pool_rooted = []
+    for plan in (criterion2[417], criterion2[3174], criterion2[3337]):
+        pool_rooted += [_rooted(plan, "c0"), _rooted(plan, "c1")]
+        (var, _), = plan.filters
+        pool_rooted.append(_rooted(ExecutionPlan(plan.calls, ((var, "c1"),), plan.output), "c_1"))
+    for constant in ("c0", "c1", "c_1"):
+        queries[constant] = queries["a"]
+    for plan in _reference_plans() + pool_rooted:
         try:
             plan_semantics(plan)
         except ModelError:
@@ -384,6 +396,43 @@ def test_oracles_match_reference():
                     got = report_key(oracle(plan, query, mode=mode, **budget))
                     want = report_key(reference(plan, query, mode=mode, **budget))
                     assert got == want, (plan, query, mode, oracle.__name__)
+
+
+def _rooted(plan, constant):
+    """The plan with its first call reading ``constant``."""
+    first = dataclasses.replace(plan.calls[0], source=constant)
+    return ExecutionPlan((first,) + plan.calls[1:], plan.filters, plan.output)
+
+
+def test_oracles_build_one_member_per_renaming_class():
+    # Both oracles confirm these plans, so they walk the whole family.  In
+    # its universe layer a member whose renaming class was already evaluated
+    # is counted but not built; the pinned counts include the canonical
+    # database, built once.
+    r = Atom("r")
+    views = [
+        SubFunction(fn("f0", [r.invert()]), 1),
+        SubFunction(fn("f1", [r]), 1),
+        SubFunction(fn("f2", [r, r.invert()], (1, 2)), 2),
+    ]
+    two = chain_plan(views, "a", two_output_last=True)  # r^-.r.r.r^-
+    y, z = two.calls[-1].outputs
+    cases = [
+        (ExecutionPlan(two.calls, ((z, "a"),), y), AtomicQuery(r, "a"), (419, 539)),
+        (pi_plan(fig1_catalog()[0]), AtomicQuery(Atom("jobTitle"), "Anna"), (117, 286)),
+    ]
+    pairs = [
+        (oracle_is_weakly_smart, reference_oracle_is_weakly_smart),
+        (oracle_is_smart, reference_oracle_is_smart),
+    ]
+    budget = dict(budget=6, max_instances=3000)
+    for plan, query, counts in cases:
+        for (oracle, reference), count in zip(pairs, counts):
+            with count_calls(evaluate, "Instance") as built:
+                report = oracle(plan, query, **budget)
+            assert report.verdict and not report.complete
+            assert report_key(report) == report_key(reference(plan, query, **budget))
+            assert built.calls == count, (plan, oracle.__name__)
 
 
 def test_weak_oracle_builds_only_members_that_can_refute():

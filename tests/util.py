@@ -161,19 +161,27 @@ def reference_eval_plan(plan, instance, mode=STANDARD):
     return out
 
 
+def _family(plan, query, budget, max_instances, rng_seed):
+    """Every member of the instance family in order, as a fresh ``Instance``,
+    and whether the cap cut its exhaustive layer."""
+    sem = plan_semantics(plan)
+    canonical = canonical_weak_database(sem, query)
+    layers = list(_instance_family(canonical, sem, query, budget, max_instances, rng_seed))
+    members = itertools.chain(
+        [canonical.facts],
+        ([layer.facts[i] for i in member] for layer in layers for member in layer.members),
+    )
+    return (Instance(facts) for facts in members), any(layer.cut for layer in layers)
+
+
 def reference_oracle_is_weakly_smart(
     plan, query, budget=6, max_instances=20000, mode=OPTIONAL_EDGE
 ):
     """``oracle_is_weakly_smart`` evaluating every member of the family,
     the plan and its filter-free version separately."""
     unfiltered = strip_filters(plan)
-    checked = 0
-    truncated = False
-    family = _instance_family(plan_semantics(plan), query, budget, max_instances, rng_seed=97)
-    for facts, cut in family:
-        inst = Instance(facts)
-        checked += 1
-        truncated = truncated or cut
+    family, truncated = _family(plan, query, budget, max_instances, rng_seed=97)
+    for checked, inst in enumerate(family, start=1):
         answers = query_answers(query, inst)
         if not answers:
             continue
@@ -191,13 +199,8 @@ def reference_oracle_is_smart(
     """``oracle_is_smart`` evaluating every member of the family, the plan
     and its filter-free version separately."""
     unfiltered = strip_filters(plan)
-    checked = 0
-    truncated = False
-    family = _instance_family(plan_semantics(plan), query, budget, max_instances, rng_seed=193)
-    for facts, cut in family:
-        inst = Instance(facts)
-        checked += 1
-        truncated = truncated or cut
+    family, truncated = _family(plan, query, budget, max_instances, rng_seed=193)
+    for checked, inst in enumerate(family, start=1):
         if not reference_eval_plan(unfiltered, inst, mode):
             continue
         if reference_eval_plan(plan, inst, mode) != query_answers(query, inst):
