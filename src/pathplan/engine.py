@@ -52,9 +52,15 @@ query atom.  Before any search, one pass over the closure checks that such
 a last call can exist (``_may_be_smart``): a ``(rel)`` view, a two-output
 view ending with ``rel`` or ``rel.rel^-``, or a ``(rel^-)`` view together
 with a view ending with ``rel``.  Where none does, no search runs.  Smart
-enumeration and ``smart_plan_exists`` otherwise run the same search, seeded
-in four modes, and decide its results by that shape and one memo of bounded
-cores per query.
+enumeration and ``smart_plan_exists`` otherwise run the weak search's two
+seed modes and close each core by one rule (``_closings``): the core
+itself, the core and a tail call, or the core whose last call ``g`` gives
+way to the view of ``g``'s parent one ``rel^-`` atom longer.  No seed mode
+of its own is needed for the last two shapes.  A final call running past
+the query atom to ``rel^-`` descends over the same atoms as the bounded
+bottom of that shorter view, so the swap finds its plans.  A walk to
+position 1 closed by a ``(rel, rel^-)`` call is never minimal: the ``(rel)``
+view of that call's parent is a smart plan that embeds into it.
 """
 
 from __future__ import annotations
@@ -452,19 +458,20 @@ class _StopSearch(Exception):
 # The deepest scan a search enters; a deeper state is cut with cause "depth".
 _MAX_DEPTH = 64
 
-# Where the walk of a seed's plan ends: at 0 past the query atom, or at 1.
-_WALK_END = {"bounded": 0, "inverse": 0, "loose": 1, "to1": 1}
-
-# The smart search's seed modes: the weak ones, whose results serve as
-# cores, then the two whose final call runs past the query atom.
-_SMART_MODES = ("bounded", "loose", "inverse", "to1")
+# The seed modes, in the order they run, and where each one's walk ends: at
+# 0 past the query atom, or at 1.
+_WALK_END = {"bounded": 0, "loose": 1}
 
 
 class _Searcher:
     """One depth-first run over all seeds for a fixed query and closure.
 
-    ``modes`` names the seed families, in the order they run; each result
-    is a ``(views, mode)`` pair carrying the mode of its seed.
+    The seeds come in two modes, ``bounded`` and ``loose`` (``_WALK_END``),
+    and each result is a call sequence.  Smart plans need no mode of their
+    own: they close the results of these two (``_closings``).  A final call
+    running past the query atom to ``rel^-`` descends like a bounded bottom
+    (``_bottoms``), and a walk to position 1 closed by a ``(rel, rel^-)``
+    call is never minimal, since that call's parent has a ``(rel)`` view.
 
     Every structure that can join a state is a template without token or
     entry scan.  The tables of enders, beginners, valleys and designated
@@ -482,7 +489,6 @@ class _Searcher:
         self,
         closure: Sequence[SubFunction],
         query: AtomicQuery,
-        modes: Sequence[str] = ("bounded", "loose"),
         max_plans: int = 10000,
         deadline: Optional[float] = None,
         single: bool = False,
@@ -490,7 +496,6 @@ class _Searcher:
     ):
         self.closure = list(closure)
         self.query = query
-        self.modes = tuple(modes)
         self.max_plans = max_plans
         self.deadline = deadline
         self.single = single
@@ -505,14 +510,6 @@ class _Searcher:
         self._valleys = templates.valleys
         self._designated = templates.designated
         self._pairs = templates.pairs
-
-    @functools.cached_property
-    def past_query(self) -> list:
-        """Two-output views ending with the query atom then its inverse:
-        the final calls of the ``inverse`` and ``to1`` modes, whose filter
-        sits past the output.  Scanned for once per search."""
-        ending = (self.query.relation, self.query.relation.invert())
-        return [v for v in self.closure if v.skeleton[-2:] == ending and _two_output_able(v)]
 
     def run(self):
         try:
@@ -586,7 +583,7 @@ class _Searcher:
         # options (the lead calls in loose mode).
         extras = {}
         orders = {True: {}, False: {}}
-        for mode in self.modes:
+        for mode in _WALK_END:
             loose = mode == "loose"
             designated = lead if loose else self._designated.all
             options = orders[loose]
@@ -631,34 +628,27 @@ class _Searcher:
                     yield extra, des
 
     @staticmethod
-    def _trailing_call(view: SubFunction, drop: int) -> _Call:
+    def _trailing_call(view: SubFunction) -> _Call:
         """A final call descending straight to position 1, then the implicit
-        query atom; the last ``drop`` atoms, at least one fewer than the
-        view has, are excluded from the scan."""
-        w = len(view) - drop
+        query atom, its last atom."""
+        w = len(view) - 1
         return _Call(view, (_piece(view, 1, w, w, BACKWARD),), (w, -1))
 
     def _bottoms(self, mode):
         """Final structures of one seed mode, each with a flag marking
         bottoms that already cross the query atom (no extra joins them).
 
-        ``inverse`` bottoms descend to the query atom inside a final call
-        whose skeleton runs one inverse query atom past it; ``to1`` bottoms
-        end the walk at position 1, for a final ``(rel, rel^-)`` call to
-        close.  Both exist only when such final calls do.
+        A final call whose skeleton runs one ``rel^-`` atom past the query
+        atom needs no bottom of its own: it descends over the same atoms as
+        the bounded bottom of its parent's view one atom shorter, which is
+        in the closure (the longer view is two-output) and has no turn
+        bottom (its parent's pivot is at its end), so smart enumeration
+        swaps that view in afterwards (``_closings``).  Nor does a walk
+        ending at position 1 for a final ``(rel, rel^-)`` call: that call's
+        parent has an output at 1, and its ``(rel)`` view, a smart plan on
+        its own, embeds into every such plan.
         """
-        if mode == "bounded":
-            yield from self._bounded_bottoms()
-        elif mode == "loose":
-            yield from self._loose_bottoms()
-        elif mode == "inverse":
-            for f in self.past_query:
-                if len(f) >= 3:
-                    yield _structure(self._trailing_call(f, 2)), False
-        elif mode == "to1":
-            if any(len(f) == 2 for f in self.past_query):
-                for s in self._enders.all:
-                    yield s, False
+        return self._bounded_bottoms() if mode == "bounded" else self._loose_bottoms()
 
     def _bounded_bottoms(self):
         """Final-call structures whose skeleton ends with the query atom."""
@@ -667,7 +657,7 @@ class _Searcher:
             n = len(v)
             if n < 2 or v.skeleton[-1] != rel:
                 continue
-            yield _structure(self._trailing_call(v, 1)), False
+            yield _structure(self._trailing_call(v)), False
             p = v.parent.pivot()
             if p is not None and 2 * p < n:
                 # Turn usage: climb to the pivot, then descend to the
@@ -693,7 +683,7 @@ class _Searcher:
             # Dive-through ending: this call finishes with the query atom
             # (walk touches 0) and a tail call climbs back to position 1.
             if len(sk) >= 2 and sk[-1] == rel:
-                base = self._trailing_call(v, 1)
+                base = self._trailing_call(v)
                 for tail in tails:
                     yield _structure(base, tail), True
             # Dip-terminal: the final call dives through the query atom and
@@ -834,7 +824,7 @@ class _Searcher:
             return
         if self.emit_gate is not None and not self.emit_gate(views):
             return
-        self.results.append((views, mode))
+        self.results.append(views)
         if self.single:
             raise _StopSearch
         if len(self.results) >= self.max_plans:
@@ -1011,7 +1001,7 @@ def enumerate_minimal_weakly_smart(
         emit_gate=weak,
     )
     searcher.run()
-    raw.extend(views for views, _ in searcher.results)
+    raw.extend(searcher.results)
     # Every candidate already passed the weak gate, as a single call or
     # through the searcher's emit gate.
     hits = {tuple(v.key for v in views): views for views in raw}
@@ -1074,7 +1064,7 @@ def find_one_weakly_smart(
     searcher.run()
     hit = None
     if searcher.results:
-        views = minimize_views(searcher.results[0][0], query, weak)
+        views = minimize_views(searcher.results[0], query, weak)
         hit = PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
     stats = searcher.stats
     return FindResult(hit, stats.states_visited, bound, stats.truncated, stats.cause)
@@ -1182,6 +1172,23 @@ def _is_tail(view: SubFunction, query: AtomicQuery) -> bool:
     )
 
 
+def _closings(core: tuple, query: AtomicQuery, tails: Sequence[SubFunction]):
+    """The call sequences that may close ``core`` into a smart plan: the
+    core itself when it has a shape, the core followed by each tail call
+    (``_is_tail``), and the core whose last call ``g`` is replaced by the
+    view of ``g``'s parent that ends one atom later, when that parent has
+    an output there and the atom is ``rel^-`` (the inverse-terminal
+    shape)."""
+    if _smart_shape(core, query):
+        yield core
+    for t in tails:
+        yield core + (t,)
+    g = core[-1]
+    n = g.prefix + 1
+    if n in g.parent.outputs and g.parent.skeleton[n - 1] == query.relation.invert():
+        yield core[:-1] + (SubFunction(g.parent, n),)
+
+
 def _smart_shape(views: tuple, query: AtomicQuery) -> Optional[tuple]:
     """The one smart shape a call sequence can have, read off its last
     call: ``(kind, core skeleton)``, or None when no filter fits.
@@ -1204,17 +1211,17 @@ def _smart_shape(views: tuple, query: AtomicQuery) -> Optional[tuple]:
     if sk == (inverse,):
         if len(views) == 1:
             return None
-        kind, drop = "appended-inverse", 1
+        kind, past = "appended-inverse", 1
     elif not _two_output_able(last):
         return None
     elif sk[-1] == rel:
-        kind, drop = "terminal", 0
+        kind, past = "terminal", 0
     elif sk[-2:] == (rel, inverse):
-        kind, drop = "inverse-terminal", 1
+        kind, past = "inverse-terminal", 1
     else:
         return None
     skeleton = _concat_skeleton(views)
-    return kind, skeleton[: len(skeleton) - drop]
+    return kind, skeleton[: len(skeleton) - past]
 
 
 def _may_be_smart(closure: Sequence[SubFunction], query: AtomicQuery) -> bool:
@@ -1314,13 +1321,15 @@ def enumerate_minimal_smart(
     a query atom adjacent to the output.
 
     When no call of the closure can end a smart plan (``_may_be_smart``),
-    the answer is empty and no search runs.  Otherwise one search, seeded
-    in the four ``_SMART_MODES``, yields the candidate call sequences:
-    single calls and bounded or loose results, each followed by a tail
-    call, or alone when it has a shape; inverse results, whose final call
-    runs past the query atom; and walks to position 1 closed by a two-atom
-    ``(rel, rel^-)`` call.  A sequence has one shape, read off its last
-    call (``_smart_shape``).
+    the answer is empty and no search runs.  Otherwise the cores are the
+    single calls and the results of the weak search's two seed modes, and
+    each core gives its candidates by one rule (``_closings``): itself, it
+    followed by a tail call, or it with its last call one ``rel^-`` atom
+    longer.  A sequence has one shape, read off its last call
+    (``_smart_shape``).  No other final call needs a search of its own: one
+    running past the query atom is the longer view of a bounded core's last
+    call, and one closing a walk at position 1 as ``(rel, rel^-)`` has a
+    parent whose ``(rel)`` view is a smart plan that embeds into the walk.
 
     Candidates are decided lazily: the minimality filter visits them
     shortest first, and only a sequence that no accepted plan embeds has
@@ -1332,23 +1341,15 @@ def enumerate_minimal_smart(
     closure = catalog_closure(catalog)
     if not _may_be_smart(closure, query):
         return []
-    searcher = _Searcher(
-        closure, query, modes=_SMART_MODES, max_plans=max_plans, deadline=deadline
-    )
+    searcher = _Searcher(closure, query, max_plans=max_plans, deadline=deadline)
     searcher.run()
     tails = [t for t in closure if _is_tail(t, query)]
-    pairs = [f for f in searcher.past_query if len(f) == 2]
-    cores = [(v,) for v in closure]
-    cores += [views for views, mode in searcher.results if mode in ("bounded", "loose")]
-    # A core without a shape of its own is a candidate only with a tail.
-    candidates = [views for views in cores if _smart_shape(views, query)]
-    candidates += [views + (t,) for views in cores for t in tails]
-    for views, mode in searcher.results:
-        if mode == "inverse":
-            candidates.append(views)
-        elif mode == "to1":
-            candidates += [views + (f,) for f in pairs]
-    unique = {tuple(v.key for v in views): views for views in candidates}
+    cores = [(v,) for v in closure] + searcher.results
+    unique = {
+        tuple(v.key for v in views): views
+        for core in cores
+        for views in _closings(core, query, tails)
+    }
     bounded = _bounded_gate(query)
     hits = {}
 
@@ -1378,11 +1379,12 @@ def smart_plan_exists(
 
     A ``(rel)`` view answers yes, and a closure in which no call can end a
     smart plan (``_may_be_smart``) answers no, both without a search.
-    Otherwise runs ``enumerate_minimal_smart``'s search in single mode.
-    A result is accepted when it, or it followed by a tail call or by a
-    two-atom ``(rel, rel^-)`` call, has a shape (``_smart_shape``) with a
-    bounded core.  Single calls are checked the same way only when the
-    search finds nothing.
+    Otherwise runs ``enumerate_minimal_smart``'s two-mode search in single
+    mode and accepts a core when one of its closings (``_closings``) has a
+    shape (``_smart_shape``) with a bounded core.  Single calls are checked
+    the same way only when the search finds nothing.  A walk closed by a
+    ``(rel, rel^-)`` call needs no search: that call's parent has a
+    ``(rel)`` view, which answers yes first.
     """
     closure = catalog_closure(catalog)
     if any(v.skeleton == (query.relation,) for v in closure):
@@ -1390,20 +1392,12 @@ def smart_plan_exists(
     if not _may_be_smart(closure, query):
         return False
     bounded = _bounded_gate(query)
+    tails = [t for t in closure if _is_tail(t, query)]
 
-    def gate(views):
-        return any(_smartable(views + final, query, bounded) for final in finals)
+    def gate(core):
+        return any(_smartable(views, query, bounded) for views in _closings(core, query, tails))
 
-    searcher = _Searcher(
-        closure,
-        query,
-        modes=_SMART_MODES,
-        deadline=deadline,
-        single=True,
-        emit_gate=gate,
-    )
-    finals = [()] + [(t,) for t in closure if _is_tail(t, query)]
-    finals += [(f,) for f in searcher.past_query if len(f) == 2]
+    searcher = _Searcher(closure, query, deadline=deadline, single=True, emit_gate=gate)
     searcher.run()
     # The search answers most queries; single calls are checked only when
     # it finds nothing.

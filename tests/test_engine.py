@@ -354,13 +354,70 @@ def test_smart_existence_matches_enumeration():
         "filter v2 = a",
         "output v1",
     ]
+    # Each of these has an inverse-terminal plan for its query that
+    # existence missed while it searched for the final call past the query
+    # atom in a seed mode of its own, beside others sharing its visited
+    # set.  Only that query is checked: on the last catalog, r2^- has a
+    # terminal plan, f3[2].f1.f2.f4, that existence still misses (ROADMAP
+    # item 2).
+    missed = [
+        ("f1 = r1 . r1 . r1^- | out 2 3\nf2 = r2^- . r1^-\nf3 = r1^- . r1^-\n", "r1", "f3.f1.f1"),
+        (
+            "f1 = r1^- . r1^- | out 1 2\nf2 = r1^- . r2 . r2^- | out 2 3\nf3 = r1 . r1\n",
+            "r2",
+            "f3.f1[1].f2",
+        ),
+        (
+            "f1 = r2 . r1\nf2 = r2 . r1^- | out 1 2\nf3 = r1^- . r1^- . r1 | out 2 3\n"
+            "f4 = r1 . r2^-\n",
+            "r1^-",
+            "f4.f2[1].f3",
+        ),
+        (
+            "f1 = r2 . r1\nf2 = r2^- . r2^- . r2 | out 2 3\nf3 = r2 . r2 . r1^-\n",
+            "r2^-",
+            "f1.f2[2].f3.f2",
+        ),
+        (
+            "f1 = r2 . r2 . r2^- | out 2 3\nf2 = r2^- . r2\nf3 = r1 . r2^- . r1 | out 2 3\n"
+            "f4 = r1^- . r2^- | out 1 2\n",
+            "r2",
+            "f2.f4[1].f3[2].f1",
+        ),
+    ]
+    cases = []
+    for text, relation, plan in missed:
+        cat = list(parse_catalog(text))
+        q = AtomicQuery(Atom(relation.removesuffix("^-"), relation.endswith("^-")), "a")
+        hits = {".".join(v.name for v in h.views): h.kind for h in enumerate_minimal_smart(q, cat)}
+        assert hits[plan] == "inverse-terminal", (plan, hits)
+        cases.append((cat, [q]))
     # Two outputs per function in the exhaustive criterion-5 catalogs, so
     # terminal plans occur there.
     catalogs = [inverse_terminal] + [_differential_catalog(t) for t in range(250, 300)]
     catalogs += itertools.islice(_no_existential_catalogs(), 696)
-    for i, cat in enumerate(catalogs):
-        for q in _oriented_queries(cat):
+    cases += [(cat, _oriented_queries(cat)) for cat in catalogs]
+    for i, (cat, queries) in enumerate(cases):
+        for q in queries:
             assert bool(enumerate_minimal_smart(q, cat)) == smart_plan_exists(q, cat), (i, q)
+
+
+def test_capped_smart_enumeration_keeps_inverse_terminal_plans():
+    # The cap counts the search's cores; a core it found still gives its
+    # inverse-terminal plans, f2.f4 (f2.f4[2]) and f6[1].f4 (f6[1].f4[2]).
+    cat = list(
+        parse_catalog(
+            "f1 = r2 . r2^- . r2^-\nf2 = r2^-\nf3 = r1^-\n"
+            "f4 = r2 . r1^- . r1 | out 2 3\nf5 = r2 . r2^- | out 1 2\n"
+            "f6 = r2^- . r2 . r2 . r1 | out 1 2 4\n"
+        )
+    )
+    hits = enumerate_minimal_smart(AtomicQuery(Atom("r1", True), "a"), cat, max_plans=2)
+    assert [(".".join(v.name for v in h.views), h.kind) for h in hits] == [
+        ("f2.f4", "inverse-terminal"),
+        ("f3", "trivial"),
+        ("f6[1].f4", "inverse-terminal"),
+    ]
 
 
 def _oriented_queries(cat):
@@ -569,9 +626,9 @@ def test_template_members_hold_their_windows():
         structures = [s for table in tables for s in table.all]
         own = []
         for q in queries:
-            searcher = _Searcher(closure, q, modes=engine._SMART_MODES)
+            searcher = _Searcher(closure, q)
             own += [*searcher._lead_calls(), *searcher._tail_calls(), *searcher._dip_calls()]
-            for mode in engine._SMART_MODES:
+            for mode in engine._WALK_END:
                 structures += [s for s, _ in searcher._bottoms(mode) if s is not None]
         return own + [call for s in structures for call in s.calls]
 
