@@ -21,7 +21,12 @@ bijection of the fresh names that fixes the query constant, the plan's
 constant and the filter constants maps an instance's plan results and
 query answers along with it, so it keeps the verdict; there the oracles
 evaluate one member per renaming class, the first in family order.
-Skipped members still count in ``instances_checked``.
+Skipped members still count in ``instances_checked``.  Which members come
+first in their class depends only on the layer's shape (its facts, the pool
+names outside the fixed ones, the budget, the cap and the rng seed), not on
+the plan, so each shape's classes are walked once per process and kept in a
+small memo (``_walk``); a pass over the 9048 criterion-2 plans has four
+shapes.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Set
 
@@ -390,7 +396,8 @@ def _instance_family(
     plan's constant and the filter constants commutes with evaluation: it
     maps the universe layer onto itself and keeps whether a member refutes.
     The oracles therefore evaluate one member per renaming class there and
-    count the others in ``instances_checked``."""
+    count the others in ``instances_checked``; ``_walk`` finds those members
+    once per shape of the layer."""
     facts = sorted(canonical.facts, key=str)
     own = range(len(facts))
     subsets = itertools.chain.from_iterable(
@@ -415,12 +422,54 @@ def _leading(facts: Sequence[Fact], atom: Atom, node: str) -> set:
     return {i for i, f in enumerate(facts) if f.relation == atom.base and f.subject == node}
 
 
-def _renamings(universe: Sequence[Fact], fixed: Set[str]) -> list:
-    """Per bijection of the universe's names outside ``fixed``, the bit of
-    the fact that each fact maps to: a member's mask under the bijection is
-    the sum of its facts' bits, and the least mask over all of them is the
-    same for every member of a renaming class."""
-    names = [name for name in dict.fromkeys(f.subject for f in universe) if name not in fixed]
+class _Walk(NamedTuple):
+    """A universe layer walked once.  ``firsts`` holds the first member of
+    each renaming class in family order as (position, mask, member): its
+    1-based position in the layer, its fact bitmask and its fact indices.
+    ``count`` is the layer's member count."""
+
+    firsts: tuple
+    count: int
+
+
+# Renaming-class walks of the last few universe layers, keyed by the layer's
+# shape, most recent last.  A walk depends on the plan only through the
+# names its renamings must fix, so plans over the same relations with the
+# same fixed names share one: a pass of the 9048 criterion-2 plans has four
+# shapes, two per oracle, each walked once per process.  An OrderedDict, as
+# in `cli._catalogs`, not `functools.lru_cache`, which would leave
+# `__wrapped__` on a module attribute, where perfbench's selftest reads it as
+# a tracer left bound.  `_classes` is looked up at each miss, so a wrapper
+# bound there (a test's counter) sees every real walk.
+_WALK_MEMO_SIZE = 8
+_walks: "OrderedDict[tuple, _Walk]" = OrderedDict()
+
+
+def _walk(layer: _Layer, fixed: Set[str], budget: int, max_instances: int, rng_seed: int) -> _Walk:
+    """The renaming-class walk of a universe layer, from the memo when a
+    layer of the same shape was walked before.  The shape is the layer's
+    facts, its pool names outside ``fixed``, the budget, the cap and the rng
+    seed: together they fix the layer's members and its renamings."""
+    names = tuple(n for n in dict.fromkeys(f.subject for f in layer.facts) if n not in fixed)
+    shape = (tuple(layer.facts), names, budget, max_instances, rng_seed)
+    walk = _walks.get(shape)
+    if walk is None:
+        walk = _classes(layer, names)
+        if len(_walks) >= _WALK_MEMO_SIZE:
+            _walks.popitem(last=False)
+        _walks[shape] = walk
+    else:
+        _walks.move_to_end(shape)
+    return walk
+
+
+def _classes(layer: _Layer, names: Sequence[str]) -> _Walk:
+    """Walk ``layer`` keeping the first member of each class of the
+    bijections of ``names``.  Per bijection a table gives the bit of the
+    fact each fact maps to; a member's mask under the bijection is the sum
+    of its facts' bits, and the least mask over all of them is the same for
+    every member of a class.  The first bijection is the identity."""
+    universe = layer.facts
     index = {(f.relation, f.subject, f.object): i for i, f in enumerate(universe)}
     tables = []
     for image in itertools.permutations(names):
@@ -431,7 +480,16 @@ def _renamings(universe: Sequence[Fact], fixed: Set[str]) -> list:
                 for f in universe
             ]
         )
-    return tables
+    firsts = []
+    seen = set()
+    count = 0
+    for count, member in enumerate(layer.members, start=1):
+        masks = [sum([bits[i] for i in member]) for bits in tables]
+        key = min(masks)
+        if key not in seen:
+            seen.add(key)
+            firsts.append((count, masks[0], tuple(member)))
+    return _Walk(tuple(firsts), count)
 
 
 def _lead(plan: ExecutionPlan) -> tuple:
@@ -460,8 +518,15 @@ def _search(
     ``canonical_weak_database`` built.  A later member is built and
     evaluated only when it holds a fact leading from the plan's constant
     along its first atom and, for the weak test, a query-answer fact, and,
-    in the universe layer, when no member of its renaming class was
-    evaluated before.  Every member counts in ``instances_checked``."""
+    in the universe layer, when it is the first of its renaming class.
+    That layer is read from its shape's walk (``_walk``), which lists each
+    class's first member with its position and fact bitmask: the renamings
+    fix the plan's constant and the query constant, so they map the lead
+    facts and the answer facts onto themselves and a class passes both
+    tests whole or not at all.  Every member counts in
+    ``instances_checked``: a refuting universe member at position p counts
+    the canonical database, the subsets and p, a pass the layer's full
+    count."""
     sem = plan_semantics(plan)
     compiled = _compile(plan, mode)
 
@@ -481,24 +546,27 @@ def _search(
     truncated = False
     atom, constant = _lead(plan)
     fixed = {query.constant, constant} | {const for _, const in plan.filters}
-    for facts, members, renamable, cut in _instance_family(
-        canonical, sem, query, budget, max_instances, rng_seed
-    ):
-        truncated = truncated or cut
+    for layer in _instance_family(canonical, sem, query, budget, max_instances, rng_seed):
+        truncated = truncated or layer.cut
+        facts = layer.facts
         leads = _leading(facts, atom, constant)
         # The full test needs no query-answer fact: it repeats the lead test.
         answering = _leading(facts, query.relation, query.constant) if weak else leads
-        tables = _renamings(facts, fixed) if renamable else ()
-        seen = set()
-        for member in members:
+        if layer.renamable:
+            walk = _walk(layer, fixed, budget, max_instances, rng_seed)
+            lead_bits = sum([1 << i for i in leads])
+            answer_bits = sum([1 << i for i in answering])
+            for position, mask, member in walk.firsts:
+                if mask & lead_bits and mask & answer_bits:
+                    inst = Instance([facts[i] for i in member])
+                    if refutes(inst):
+                        return OracleReport(False, inst, True, checked + position)
+            checked += walk.count
+            continue
+        for member in layer.members:
             checked += 1
             if leads.isdisjoint(member) or answering.isdisjoint(member):
                 continue
-            if tables:
-                key = min([sum([bits[i] for i in member]) for bits in tables])
-                if key in seen:
-                    continue
-                seen.add(key)
             inst = Instance([facts[i] for i in member])
             if refutes(inst):
                 return OracleReport(False, inst, True, checked)
@@ -527,10 +595,15 @@ def oracle_is_weakly_smart(
     three fresh names, a bijection of the fresh names that fixes the query
     constant, the plan's constant and the filter constants maps the plan's
     results, its answers and the query's answers along with the instance,
-    so it keeps the verdict: a member that such a renaming maps onto an
-    already evaluated one is not evaluated again.  Skipped members still
-    count in ``instances_checked``, and the first refuting member is still
-    the first in family order.
+    so it keeps the verdict: only the first member of each renaming class
+    is evaluated.  Which members those are depends on the layer's shape, not
+    on the plan, so each shape's classes are walked once per process and
+    shared by every later call.  A single call, as ``check --oracle``
+    makes, walks its one layer as a confirmed plan did before; a plan that
+    refutes inside that layer now walks the rest of it too.  Skipped
+    members still count in
+    ``instances_checked``, and the first refuting member is still the first
+    in family order.
 
     ``max_instances`` caps only the exhaustive layer.  The canonical
     database and all 2^|facts| - 2 of its proper non-empty subsets are
@@ -553,12 +626,13 @@ def oracle_is_smart(
     The plan is compiled once, and one pass per instance gives both result
     sets.  A member is evaluated only when it holds a fact leading from the
     plan's constant along its first atom; without one the filter-free plan
-    has no result.  In the exhaustive and random layers, a member that a
-    bijection of the fresh names maps onto an already evaluated one is not
-    evaluated again, as long as the bijection fixes the query constant, the
-    plan's constant and the filter constants: such a renaming maps both
-    result sets and the query's answers along with the instance.  Skipped
-    members still count in ``instances_checked``.
+    has no result.  In the exhaustive and random layers, only the first
+    member of each class of the bijections of the fresh names that fix the
+    query constant, the plan's constant and the filter constants is
+    evaluated: such a renaming maps both result sets and the query's
+    answers along with the instance.  Each shape's classes are walked once
+    per process, as in ``oracle_is_weakly_smart``.  Skipped members still
+    count in ``instances_checked``.
 
     ``max_instances`` caps only the exhaustive layer.  The canonical
     database and all 2^|facts| - 2 of its proper non-empty subsets are

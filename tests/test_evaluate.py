@@ -404,6 +404,65 @@ def _rooted(plan, constant):
     return ExecutionPlan((first,) + plan.calls[1:], plan.filters, plan.output)
 
 
+def test_oracle_walk_memo_keeps_neighbouring_shapes_apart():
+    # The universe layer's class walk is kept per shape: the layer's facts,
+    # its pool names outside the fixed ones, the budget, the cap and the rng
+    # seed.  Each plan runs rooted at a, at c0 and c1 (fresh names of the
+    # pool for a query on a), and with its filter moved to c1 and rooted at
+    # c_1, each by both oracles in turn, over r alone and over r and s, so a
+    # warm entry of one shape is followed by a neighbouring one.  At cap 0
+    # the universe layer is the random layer alone, where the two-output
+    # plan refutes.
+    r, s = Atom("r"), Atom("s")
+    two = FunctionCall(SubFunction(fn("f", [r, s.invert()], (1, 2)), 2), "a", (1, 2), ("x", "y"))
+    then = FunctionCall(SubFunction(fn("g", [s]), 1), "x", (1,), ("z",))
+    criterion2 = [p for fns in _chained_plan_cases() for p in _filter_variants(fns)]
+    bases = [criterion2[18], criterion2[3174], ExecutionPlan((two, then), (("y", "a"),), "z")]
+    plans = []
+    for plan in bases:
+        (var, _), = plan.filters
+        moved = ExecutionPlan(plan.calls, ((var, "c1"),), plan.output)
+        plans += [plan, _rooted(plan, "c0"), _rooted(plan, "c1"), _rooted(moved, "c_1")]
+    budgets = [
+        (OPTIONAL_EDGE, dict(budget=6, max_instances=300)),
+        (OPTIONAL_EDGE, dict(budget=6, max_instances=3000)),
+        (STANDARD, dict(budget=3, max_instances=100)),
+        (OPTIONAL_EDGE, dict(budget=6, max_instances=0)),
+    ]
+    pairs = [
+        (oracle_is_weakly_smart, reference_oracle_is_weakly_smart),
+        (oracle_is_smart, reference_oracle_is_smart),
+    ]
+    evaluate._walks.clear()
+    random_layer = []
+    for mode, budget in budgets:
+        for plan in plans:
+            for query in (AtomicQuery(r, "a"), AtomicQuery(r.invert(), "a")):
+                for oracle, reference in pairs:
+                    got = report_key(oracle(plan, query, mode=mode, **budget))
+                    want = report_key(reference(plan, query, mode=mode, **budget))
+                    assert got == want, (plan, query, mode, budget, oracle.__name__)
+                    if budget["max_instances"] == 0 and plan is bases[-1]:
+                        random_layer.append(got[3])
+    # The canonical database has four facts and 14 proper subsets, so
+    # these refute at members 3 and 12 of the random layer.
+    assert random_layer == [18, 27, 18, 27]
+
+
+def test_oracles_walk_each_shape_once():
+    # The oracles reach the universe layer nine times here, for eight plans
+    # over r alone or over r and s, but walk its renaming classes once per
+    # shape: three, since only the weak oracle reaches it over r and s.
+    plans = [p for fns in _chained_plan_cases() for p in _filter_variants(fns)][::20]
+    query = AtomicQuery(Atom("r"), "a")
+    evaluate._walks.clear()
+    with count_calls(evaluate, "_classes") as walked, count_calls(evaluate, "_walk") as reached:
+        for plan in plans:
+            for oracle in (oracle_is_weakly_smart, oracle_is_smart):
+                oracle(plan, query, budget=6, max_instances=3000)
+    assert (walked.calls, reached.calls) == (3, 9)
+
+
 def test_oracles_build_one_member_per_renaming_class():
     # Both oracles confirm these plans, so they walk the whole family.  In
     # its universe layer a member whose renaming class was already evaluated
