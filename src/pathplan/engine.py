@@ -4,15 +4,15 @@ The search scans forward-path positions left to right.  A state is a set of
 positioned function members: forward members emit their current atom and
 count up, backward members emit the inverse of theirs and count down, and
 exactly one active forward member is designated as the forward-path
-builder.  The
-search enters only consistent states, whose active members all emit the
-same atom: a state whose advanced members disagree matches no line of
-atoms, so it is dropped before anything joins it.  A backward member
-exhausting means a call starts at the current position; a forward member
-running out means a call ends there.  Minimal plans allow at most one of
-each per state and never repeat a state, which bounds the search and makes
-it terminate on all inputs.  A state is its set of members and nothing
-else.
+builder.  The search enters only consistent states, whose active members
+all emit the same atom: a state whose advanced members disagree matches no
+line of atoms, so it is dropped before anything joins it.  A backward
+member exhausting means a call starts at the current position; a forward
+member running out means a call ends there.  Minimal plans allow at most
+one of each per state and never repeat a state along their path, so the
+search's one cycle check skips a state already on the current path.  That
+check and the depth cap (``_MAX_DEPTH``) make it terminate on all inputs.
+A state is its set of members and nothing else.
 
 Functions whose body contains an x.x^- pivot may cross a turning point:
 their two halves enter the state together as a forward and a backward
@@ -61,6 +61,7 @@ the query atom to ``rel^-`` descends over the same atoms as the bounded
 bottom of that shorter view, so the swap finds its plans.  A walk to
 position 1 closed by a ``(rel, rel^-)`` call is never minimal: the ``(rel)``
 view of that call's parent is a smart plan that embeds into it.
+Existence and find-one stop the same search at its first gated result.
 """
 
 from __future__ import annotations
@@ -467,22 +468,28 @@ class _Searcher:
     """One depth-first run over all seeds for a fixed query and closure.
 
     The seeds come in two modes, ``bounded`` and ``loose`` (``_WALK_END``),
-    and each result is a call sequence.  Smart plans need no mode of their
-    own: they close the results of these two (``_closings``).  A final call
-    running past the query atom to ``rel^-`` descends like a bounded bottom
-    (``_bottoms``), and a walk to position 1 closed by a ``(rel, rel^-)``
-    call is never minimal, since that call's parent has a ``(rel)`` view.
+    and each result is a call sequence that passes ``emit_gate``, if one is
+    given.  Smart plans need no mode of their own: they close the results
+    of these two (``_closings``).  A final call running past the query atom
+    to ``rel^-`` descends like a bounded bottom (``_bottoms``), and a walk
+    to position 1 closed by a ``(rel, rel^-)`` call is never minimal, since
+    that call's parent has a ``(rel)`` view.
+
+    The run stops at its ``max_plans``-th result.  A state already on the
+    current path is not entered again; one reached on another path is,
+    since whether a path assembles into a plan depends on its call records.
 
     Every structure that can join a state is a template without token or
     entry scan.  The tables of enders, beginners, valleys and designated
     calls, and the beginner-ender pairs, come from the closure alone: they
     are built once per closure and shared with every other searcher on an
     equal closure (``_templates``).  The query's own structures (dips,
-    lead calls, tails and bottoms), the seeds, tokens, the visited set and
-    the stats belong to this run.  A state looks its candidates up by the
-    atom it emits next, checks them as templates and stamps a combination
-    with fresh tokens only when it joins.  A state is keyed by its member
-    set alone: a turn call's pending ascent is one of its members.
+    lead calls, tails and bottoms), the seeds, tokens, the states on the
+    current path and the stats belong to this run.  A state looks its
+    candidates up by the atom it emits next, checks them as templates and
+    stamps a combination with fresh tokens only when it joins.  A state is
+    keyed by its member set alone: a turn call's pending ascent is one of
+    its members.
     """
 
     def __init__(
@@ -491,16 +498,14 @@ class _Searcher:
         query: AtomicQuery,
         max_plans: int = 10000,
         deadline: Optional[float] = None,
-        single: bool = False,
         emit_gate: Optional[Callable] = None,
     ):
         self.closure = list(closure)
         self.query = query
         self.max_plans = max_plans
         self.deadline = deadline
-        self.single = single
         self.emit_gate = emit_gate
-        self.visited = set()
+        self._path = set()  # the states on the current path
         self.stats = _SearchStats()
         self.results: List[tuple] = []
         self._token_counter = itertools.count()
@@ -514,7 +519,7 @@ class _Searcher:
     def run(self):
         try:
             for members, recs, mode in self._seeds():
-                self._search(frozenset(members), 1, recs, mode, [])
+                self._search(frozenset(members), 1, recs, mode)
         except _StopSearch:
             return
 
@@ -693,21 +698,16 @@ class _Searcher:
 
     # -- the depth-first search ------------------------------------------------
 
-    def _search(self, members, scan, recs, mode, stack):
+    def _search(self, members, scan, recs, mode):
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.stats.cause = "deadline"
             raise _StopSearch
         if scan > _MAX_DEPTH:
             self.stats.cause = "depth"
             return
-        if self.single:
-            if members in self.visited:
-                return
-            self.visited.add(members)
-        else:
-            if members in stack:
-                return
-            stack.append(members)
+        if members in self._path:
+            return
+        self._path.add(members)
         self.stats.states_visited += 1
         try:
             rec = search_successors(members)
@@ -757,12 +757,11 @@ class _Searcher:
                 return
             if designated_ended and (begins or ends_n):
                 return
-            self._expand(advanced, scan + 1, recs, mode, stack, designated_ended, begins, ends_n)
+            self._expand(advanced, scan + 1, recs, mode, designated_ended, begins, ends_n)
         finally:
-            if not self.single:
-                stack.pop()
+            self._path.remove(members)
 
-    def _expand(self, advanced, entry, recs, mode, stack, designated_ended, begins, ends_n):
+    def _expand(self, advanced, entry, recs, mode, designated_ended, begins, ends_n):
         """Search every child of a state: the advanced members plus the
         structure its needs call for and at most one valley crossing the
         entry position, which carries no need."""
@@ -791,9 +790,9 @@ class _Searcher:
             v for v in self._valleys.matching(current) if advanced.isdisjoint(v.member_set)
         ]
         if need == 0 and begins == ends_n:
-            self._search(advanced, entry, recs, mode, stack)
+            self._search(advanced, entry, recs, mode)
             for valley in valleys:
-                self._join(advanced, entry, recs, mode, stack, (valley,))
+                self._join(advanced, entry, recs, mode, (valley,))
         for base in bases:
             if (
                 base.designated != need
@@ -801,20 +800,20 @@ class _Searcher:
                 or not advanced.isdisjoint(base.member_set)
             ):
                 continue
-            self._join(advanced, entry, recs, mode, stack, (base,))
+            self._join(advanced, entry, recs, mode, (base,))
             for valley in valleys:
                 if base.member_set.isdisjoint(valley.member_set) and _compatible(
                     base.emission, valley.emission
                 ):
-                    self._join(advanced, entry, recs, mode, stack, (base, valley))
+                    self._join(advanced, entry, recs, mode, (base, valley))
 
-    def _join(self, advanced, entry, recs, mode, stack, structures):
+    def _join(self, advanced, entry, recs, mode, structures):
         """Stamp checked structures and search the state they form."""
         members = []
         recs = list(recs)
         for s in structures:
             self._stamp(s, entry, members, recs)
-        self._search(advanced.union(members), entry, recs, mode, stack)
+        self._search(advanced.union(members), entry, recs, mode)
 
     # -- plan assembly -----------------------------------------------------------
 
@@ -825,8 +824,6 @@ class _Searcher:
         if self.emit_gate is not None and not self.emit_gate(views):
             return
         self.results.append(views)
-        if self.single:
-            raise _StopSearch
         if len(self.results) >= self.max_plans:
             self.stats.cause = "plan cap"
             raise _StopSearch
@@ -1020,15 +1017,18 @@ def enumerate_minimal_weakly_smart(
 
 @dataclass
 class FindResult:
-    """Find-one's answer.  ``truncated`` marks a search cut short, with
-    ``cause`` naming the last cut ("deadline" or "depth"): then a missing
-    hit does not mean that no plan exists."""
+    """Find-one's answer.  ``cause`` names the last cut ("deadline" or
+    "depth") of a search that found no plan, which then does not mean that
+    no plan exists."""
 
     hit: Optional[PlanHit]
     states_visited: int
     state_bound: int
-    truncated: bool = False
     cause: Optional[str] = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.cause is not None
 
 
 def find_one_weakly_smart(
@@ -1036,10 +1036,11 @@ def find_one_weakly_smart(
     catalog: Sequence[PathFunction],
     deadline: Optional[float] = None,
 ) -> FindResult:
-    """First weakly smart plan found, minimized; visits each state once.
+    """First weakly smart plan found, minimized.
 
-    The history is a persistent visited set without pops, so the number of
-    explored states never exceeds the total state count.
+    A weakly smart single call answers first; otherwise the weak search
+    stops at its first gated result.  That stop is not a cut, so a hit
+    comes with no ``cause``.
     """
     if not catalog:
         raise EmptyCatalogError("no functions")
@@ -1054,20 +1055,14 @@ def find_one_weakly_smart(
                 bound,
             )
     # No view is weakly smart on its own, so none dominates a longer plan.
-    searcher = _Searcher(
-        closure,
-        query,
-        deadline=deadline,
-        single=True,
-        emit_gate=weak,
-    )
+    searcher = _Searcher(closure, query, max_plans=1, deadline=deadline, emit_gate=weak)
     searcher.run()
-    hit = None
-    if searcher.results:
-        views = minimize_views(searcher.results[0], query, weak)
-        hit = PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
     stats = searcher.stats
-    return FindResult(hit, stats.states_visited, bound, stats.truncated, stats.cause)
+    if not searcher.results:
+        return FindResult(None, stats.states_visited, bound, stats.cause)
+    views = minimize_views(searcher.results[0], query, weak)
+    hit = PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
+    return FindResult(hit, stats.states_visited, bound)
 
 
 def _shape_of(views: Sequence[SubFunction], query: AtomicQuery) -> str:
@@ -1125,7 +1120,8 @@ class BoundEstimate:
 
 
 def _state_bound(closure: Sequence[SubFunction]) -> int:
-    """|closure|^(2k), k the longest view: the search's state count bound."""
+    """|closure|^(2k), k the longest view: an estimate of the search's
+    state count, not a proved bound."""
     return len(closure) ** (2 * max(len(v) for v in closure))
 
 
@@ -1377,31 +1373,34 @@ def smart_plan_exists(
 ) -> bool:
     """Does a smart plan exist?
 
-    A ``(rel)`` view answers yes, and a closure in which no call can end a
-    smart plan (``_may_be_smart``) answers no, both without a search.
-    Otherwise runs ``enumerate_minimal_smart``'s two-mode search in single
-    mode and accepts a core when one of its closings (``_closings``) has a
-    shape (``_smart_shape``) with a bounded core.  Single calls are checked
-    the same way only when the search finds nothing.  A walk closed by a
+    A ``(rel)`` view answers yes and a closure in which no call can end a
+    smart plan (``_may_be_smart``) answers no, both in one cheap pass.
+    Otherwise a core is accepted when one of its closings (``_closings``)
+    has a shape (``_smart_shape``) with a bounded core: the single calls
+    first, then the first core the weak search accepts.  A walk closed by a
     ``(rel, rel^-)`` call needs no search: that call's parent has a
-    ``(rel)`` view, which answers yes first.
+    ``(rel)`` view, which answers first.
     """
+    if not catalog:
+        raise EmptyCatalogError("no functions")
     closure = catalog_closure(catalog)
     if any(v.skeleton == (query.relation,) for v in closure):
         return True
     if not _may_be_smart(closure, query):
         return False
     bounded = _bounded_gate(query)
-    tails = [t for t in closure if _is_tail(t, query)]
+    # A closing's verdict reads only its tail's skeleton, so one tail per
+    # skeleton decides.
+    tails = list({t.skeleton: t for t in closure if _is_tail(t, query)}.values())
 
     def gate(core):
         return any(_smartable(views, query, bounded) for views in _closings(core, query, tails))
 
-    searcher = _Searcher(closure, query, deadline=deadline, single=True, emit_gate=gate)
+    if any(gate((v,)) for v in closure):
+        return True
+    searcher = _Searcher(closure, query, max_plans=1, deadline=deadline, emit_gate=gate)
     searcher.run()
-    # The search answers most queries; single calls are checked only when
-    # it finds nothing.
-    return bool(searcher.results) or any(gate((v,)) for v in closure)
+    return bool(searcher.results)
 
 
 def susie_plans(query: AtomicQuery, catalog: Sequence[PathFunction]) -> List[SmartHit]:

@@ -43,6 +43,7 @@ from test_acceptance import _no_existential_catalogs
 
 from util import (
     brute_force_minimal_weak,
+    brute_force_smart_plan,
     count_calls,
     fig1_catalog,
     fn,
@@ -132,8 +133,14 @@ def test_enumerate_excludes_non_minimal():
 
 
 def test_enumerate_empty_catalog():
-    with pytest.raises(EmptyCatalogError):
-        enumerate_minimal_weakly_smart(jobtitle_query(), [])
+    for entry in (
+        enumerate_minimal_weakly_smart,
+        enumerate_minimal_smart,
+        find_one_weakly_smart,
+        smart_plan_exists,
+    ):
+        with pytest.raises(EmptyCatalogError):
+            entry(jobtitle_query(), [])
 
 
 def test_loop_solo_plan():
@@ -170,7 +177,7 @@ def test_find_one_matches_enumerate():
                 assert keys in {tuple(v.key for v in h.views) for h in hits}
 
 
-def test_find_one_never_revisits_and_respects_bound():
+def test_find_one_respects_state_bound():
     for seed in range(20):
         cat = gen_catalog(SynthConfig(3, 5, 3, seed=seed + 900))
         q = AtomicQuery(Atom("r1"), "a")
@@ -326,6 +333,22 @@ def _differential_catalog(t):
     return gen_catalog(SynthConfig(2 + t % 3, 3 + t % 5, 3, seed=20000 + t))
 
 
+# For r2^- its one minimal smart plan is the terminal f3[2].f1.f2.f4, which
+# existence missed while its search shared one visited set across paths: an
+# earlier path reached the plan's states with other call records.
+_HIDDEN_PLAN_CATALOG = (
+    "f1 = r2 . r2 . r2^- | out 2 3\nf2 = r2^- . r2\nf3 = r1 . r2^- . r1 | out 2 3\n"
+    "f4 = r1^- . r2^- | out 1 2\n"
+)
+
+# Four small multi-output functions on which smart enumeration runs for a
+# minute or more on every query.
+_BLOW_UP_CATALOG = (
+    "f1 = r2 . r2^- . r1^- | out 1 2 3\nf2 = r1^- . r2 . r2^- | out 1 3\n"
+    "f3 = r2^- . r1 . r1 | out 1 3\nf4 = r2^- . r2 . r1 | out 1 2 3\n"
+)
+
+
 def test_smart_core_need_not_be_minimal_weak():
     # The core f6.f1.f3.f5 is bounded but not minimal weakly smart; the
     # inverse call f2 appended to it still gives a minimal smart plan.
@@ -357,9 +380,7 @@ def test_smart_existence_matches_enumeration():
     # Each of these has an inverse-terminal plan for its query that
     # existence missed while it searched for the final call past the query
     # atom in a seed mode of its own, beside others sharing its visited
-    # set.  Only that query is checked: on the last catalog, r2^- has a
-    # terminal plan, f3[2].f1.f2.f4, that existence still misses (ROADMAP
-    # item 2).
+    # set.  Every oriented query of them is checked.
     missed = [
         ("f1 = r1 . r1 . r1^- | out 2 3\nf2 = r2^- . r1^-\nf3 = r1^- . r1^-\n", "r1", "f3.f1.f1"),
         (
@@ -378,12 +399,7 @@ def test_smart_existence_matches_enumeration():
             "r2^-",
             "f1.f2[2].f3.f2",
         ),
-        (
-            "f1 = r2 . r2 . r2^- | out 2 3\nf2 = r2^- . r2\nf3 = r1 . r2^- . r1 | out 2 3\n"
-            "f4 = r1^- . r2^- | out 1 2\n",
-            "r2",
-            "f2.f4[1].f3[2].f1",
-        ),
+        (_HIDDEN_PLAN_CATALOG, "r2", "f2.f4[1].f3[2].f1"),
     ]
     cases = []
     for text, relation, plan in missed:
@@ -391,15 +407,44 @@ def test_smart_existence_matches_enumeration():
         q = AtomicQuery(Atom(relation.removesuffix("^-"), relation.endswith("^-")), "a")
         hits = {".".join(v.name for v in h.views): h.kind for h in enumerate_minimal_smart(q, cat)}
         assert hits[plan] == "inverse-terminal", (plan, hits)
-        cases.append((cat, [q]))
+        cases.append((cat, _oriented_queries(cat)))
     # Two outputs per function in the exhaustive criterion-5 catalogs, so
     # terminal plans occur there.
-    catalogs = [inverse_terminal] + [_differential_catalog(t) for t in range(250, 300)]
+    catalogs = [inverse_terminal] + [_differential_catalog(t) for t in range(300)]
     catalogs += itertools.islice(_no_existential_catalogs(), 696)
     cases += [(cat, _oriented_queries(cat)) for cat in catalogs]
     for i, (cat, queries) in enumerate(cases):
         for q in queries:
             assert bool(enumerate_minimal_smart(q, cat)) == smart_plan_exists(q, cat), (i, q)
+    # Enumeration does not finish here, but every query has a smart single
+    # call, so existence answers yes without a search, as the reference
+    # does.
+    blow_up = list(parse_catalog(_BLOW_UP_CATALOG))
+    queries = _oriented_queries(blow_up)
+    with count_calls(engine, "_Searcher") as searched:
+        assert all(smart_plan_exists(q, blow_up) for q in queries)
+    assert searched.calls == 0
+    assert all(brute_force_smart_plan(q, blow_up, max_calls=1) for q in queries)
+
+
+def test_smart_existence_matches_brute_force():
+    # Wherever some chain of at most three calls is a smart plan under
+    # `is_smart`, existence says yes; and it finds the 4-call plan that a
+    # shared visited set hid.
+    cat = list(parse_catalog(_HIDDEN_PLAN_CATALOG))
+    q = AtomicQuery(Atom("r2", True), "a")
+    plan = brute_force_smart_plan(q, cat, max_calls=4)
+    assert [call.view.name for call in plan.calls] == ["f3[2]", "f1", "f2", "f4"]
+    assert smart_plan_exists(q, cat)
+    catalogs = [list(parse_catalog(_BLOW_UP_CATALOG))]
+    catalogs += [_differential_catalog(t) for t in range(0, 300, 6)]
+    found = 0
+    for i, cat in enumerate(catalogs):
+        for q in _oriented_queries(cat):
+            if brute_force_smart_plan(q, cat) is not None:
+                found += 1
+                assert smart_plan_exists(q, cat), (i, q)
+    assert found == 90
 
 
 def test_capped_smart_enumeration_keeps_inverse_terminal_plans():
@@ -435,8 +480,9 @@ def test_weak_plan_calls_one_view_twice():
 
 
 def test_find_one_closes_item1_misses():
-    # Dead states, whose members disagree on the next atom, must not fill
-    # find-one's shared visited set and hide these plans.
+    # Dead states, whose members disagree on the next atom, filled the
+    # visited set that find-one once shared across paths and hid these
+    # plans.
     cases = [
         (SynthConfig(2, 6, 3, seed=20183), Atom("r2"), ("f5", "f5", "f6")),
         (SynthConfig(2, 5, 3, seed=20282), Atom("r2", True), ("f5", "f1", "f3")),
@@ -482,7 +528,10 @@ def test_find_one_state_counts_pinned():
     # which of them it visits.  A turn call's ascent is a pending member
     # that dies where it arrives unless the forward piece before it ends,
     # so no state is entered at its due scan beside another piece
-    # (t=292, r2 visits 13).
+    # (t=292, r2 visits 15).  The search's one cycle check is path-local,
+    # as in enumeration, so a query with no plan explores every path and a
+    # state reached on two paths counts twice: the item-1 sum was 430 while
+    # find-one shared one visited set across paths.
     def visited(catalogs):
         return sum(
             find_one_weakly_smart(q, cat).states_visited
@@ -492,7 +541,7 @@ def test_find_one_state_counts_pinned():
 
     item1 = [_differential_catalog(t) for t in range(250, 300)]
     assert sum(len(_oriented_queries(cat)) for cat in item1) == 288
-    assert visited(item1) == 430
+    assert visited(item1) == 564
     assert visited(gen_catalog(SynthConfig(4, 30, 3, seed=s)) for s in range(4)) == 103
 
 

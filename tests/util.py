@@ -3,6 +3,8 @@ and oracles, and tiny catalog builders.
 
 The brute-force enumerators are independent oracles: they enumerate call
 chains exhaustively and keep the minimal ones, with no state machinery.
+The smart-existence reference likewise tries every short call chain, with
+every filter and output, under ``is_smart``.
 The reference evaluator runs a plan row by row, one environment dict per
 row and one call per row and call, and the reference oracles evaluate the
 plan and its filter-free version on every member of the instance family.
@@ -17,12 +19,16 @@ import types
 from pathplan import (
     Atom,
     AtomicQuery,
+    ExecutionPlan,
     PathFunction,
     PathSemantics,
     canonical_weak_database,
     catalog_closure,
+    chain_plan,
     find_walk,
+    is_smart,
 )
+from pathplan.characterize import SMART
 from pathplan.evaluate import (
     NULL,
     OPTIONAL_EDGE,
@@ -99,6 +105,35 @@ def brute_force_minimal_weak(query, catalog, max_calls=5):
         if minimal:
             out[key] = views
     return out
+
+
+def brute_force_smart_plan(query, catalog, max_calls=3):
+    """The first smart plan of at most ``max_calls`` calls, fewest calls
+    first, or None, by trying every call chain over the closure.
+
+    The last call binds its last position, and is tried binding its last
+    two as well where its parent has an output at the one before.  Each
+    chain is tried with no filter or one filter of a variable on the query
+    constant, and with every variable as the output; ``is_smart`` decides
+    each plan.
+    """
+    closure = catalog_closure(catalog)
+    constant = query.constant
+    for k in range(1, max_calls + 1):
+        for views in itertools.product(closure, repeat=k):
+            last = views[-1]
+            binds = [False]
+            if len(last) >= 2 and len(last) - 1 in last.bindable:
+                binds.append(True)
+            for two_outputs in binds:
+                calls = chain_plan(views, constant, two_output_last=two_outputs).calls
+                variables = [name for call in calls for name in call.outputs]
+                for filters in [()] + [((var, constant),) for var in variables]:
+                    for output in variables:
+                        plan = ExecutionPlan(calls, filters, output)
+                        if is_smart(plan, query).level == SMART:
+                            return plan
+    return None
 
 
 def reference_call_rows(view, input_value, instance, mode=STANDARD):
