@@ -891,11 +891,20 @@ def _concat_skeleton(views: Sequence[SubFunction]) -> tuple:
 
 
 def _weak_gate(query: AtomicQuery) -> Callable:
-    """The weak gate on call sequences for ``query``, remembering each
-    concatenated skeleton's verdict for as long as the gate is kept."""
+    """The weak gate on call sequences for ``query``.
+
+    A sequence whose first two atoms and last atom fail ``_may_be_weak``
+    is rejected before its skeleton is built; the verdict on any other
+    concatenated skeleton is remembered for as long as the gate is kept.
+    """
     verdicts = {}
 
     def weak(views: Sequence[SubFunction]) -> bool:
+        head = views[0].skeleton[:2]
+        if len(head) < 2 and len(views) > 1:
+            head += views[1].skeleton[:1]
+        if not _may_be_weak(head, views[-1].skeleton[-1], query):
+            return False
         skeleton = _concat_skeleton(views)
         verdict = verdicts.get(skeleton)
         if verdict is None:
@@ -919,13 +928,13 @@ def _bounded_gate(query: AtomicQuery) -> Callable:
     return bounded
 
 
-def _is_minimal_weak(views: tuple, query: AtomicQuery, weak: Callable) -> bool:
+def _is_minimal_weak(views: tuple, weak: Callable) -> bool:
     """No proper subsequence of the weakly smart ``views`` is weakly smart."""
     if len(views) > 14:
         # Exhaustive subsequences explode; the embedding filter against
         # shorter accepted plans covers long candidates.
         return True
-    return len(minimize_views(views, query, weak)) == len(views)
+    return len(minimize_views(views, weak)) == len(views)
 
 
 def _embeds(small: Sequence[SubFunction], big: Sequence[SubFunction], weaken: bool) -> bool:
@@ -1005,7 +1014,7 @@ def enumerate_minimal_weakly_smart(
     minimal = _minimal_filter(
         list(hits.values()),
         weaken=False,
-        explicit_check=lambda vs: _is_minimal_weak(vs, query, weak),
+        explicit_check=lambda vs: _is_minimal_weak(vs, weak),
     )
     out = [
         PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
@@ -1060,7 +1069,7 @@ def find_one_weakly_smart(
     stats = searcher.stats
     if not searcher.results:
         return FindResult(None, stats.states_visited, bound, stats.cause)
-    views = minimize_views(searcher.results[0], query, weak)
+    views = minimize_views(searcher.results[0], weak)
     hit = PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
     return FindResult(hit, stats.states_visited, bound)
 
@@ -1073,7 +1082,8 @@ def _shape_of(views: Sequence[SubFunction], query: AtomicQuery) -> str:
 
 def _may_be_weak(head: tuple, last, query: AtomicQuery) -> bool:
     """Necessary for a weakly smart skeleton opening with ``head`` (its
-    first two atoms, or its only one) and ending with ``last``.
+    first two atoms, or its only one) and ending with ``last``: the screen
+    that ``_weak_gate`` applies before it builds a skeleton.
 
     The walk along ``rel^-`` + skeleton ends at position 0, so its last
     step runs back over ``rel^-`` and emits ``rel``; or, for a skeleton
@@ -1086,20 +1096,12 @@ def _may_be_weak(head: tuple, last, query: AtomicQuery) -> bool:
     )
 
 
-def minimize_views(views: tuple, query: AtomicQuery, weak: Callable) -> tuple:
-    """Smallest weakly smart subsequence, searched by increasing size.
-
-    A subsequence is gated by ``weak`` (``_weak_gate``) only when the atoms
-    of its first and last calls pass ``_may_be_weak``.
-    """
+def minimize_views(views: tuple, weak: Callable) -> tuple:
+    """Smallest weakly smart subsequence, searched by increasing size and
+    decided by ``weak`` (``_weak_gate``, whose screen rejects most
+    subsequences without building their skeletons)."""
     for size in range(1, len(views) + 1):
-        for combo in itertools.combinations(range(len(views)), size):
-            head = views[combo[0]].skeleton[:2]
-            if len(head) < 2 and size > 1:
-                head += views[combo[1]].skeleton[:1]
-            if not _may_be_weak(head, views[combo[-1]].skeleton[-1], query):
-                continue
-            sub = tuple(views[i] for i in combo)
+        for sub in itertools.combinations(views, size):
             if weak(sub):
                 return sub
     raise NotWeaklySmartError("no weakly smart subsequence")

@@ -86,6 +86,10 @@ class PathFunction:
     Output positions are 1-based atom indices; every other position is
     existential.  Bodies with more than one x.x^- pivot are rejected because
     the plan search splits a body at its unique pivot.
+
+    The prefix views and the hash are built on first use, not in
+    ``__post_init__``, so that a function never hashed or asked for its
+    views pays for neither.
     """
 
     name: str
@@ -93,6 +97,12 @@ class PathFunction:
     outputs: tuple
     # The 1-based pivot position or None, found once by ``__post_init__``.
     _pivot: Optional[int] = field(init=False, repr=False, compare=False)
+    # The hash and the prefix views, None until first asked for.  Setting
+    # both to None up front keeps them in the instance's inline attribute
+    # layout; added later, they move its attributes into a dict of its own
+    # (about 200 bytes more per function on CPython 3.11).
+    _hash: Optional[int] = field(init=False, repr=False, compare=False)
+    _views: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.skeleton:
@@ -108,12 +118,36 @@ class PathFunction:
             raise MultiPivotError(f"function {self.name}: more than one loop pivot")
         object.__setattr__(self, "outputs", outs)
         object.__setattr__(self, "_pivot", pivots[0] if pivots else None)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_views", None)
 
     def __len__(self) -> int:
         return len(self.skeleton)
 
     def pivot(self) -> Optional[int]:
         return self._pivot
+
+    def __hash__(self) -> int:
+        # The dataclass's own field hash, computed once.
+        h = self._hash
+        if h is None:
+            h = hash((self.name, self.skeleton, self.outputs))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles rebuild both: a str hash is not the same in
+        # another interpreter, and a copy's views must name the copy.
+        return dict(self.__dict__, _hash=None, _views=None)
+
+    def _prefix_views(self) -> tuple:
+        """One prefix view per output position, ordered by prefix length,
+        built once and shared by every closure of this function."""
+        views = self._views
+        if views is None:
+            views = tuple(SubFunction(self, p) for p in self.outputs)
+            object.__setattr__(self, "_views", views)
+        return views
 
     def __str__(self) -> str:
         return f"{self.name} = {skeleton_text(self.skeleton)} | out {' '.join(map(str, self.outputs))}"
@@ -164,16 +198,15 @@ class SubFunction:
 
 
 def derive_sub_functions(fn: PathFunction) -> list:
-    """One prefix view per output position, ordered by prefix length."""
-    return [SubFunction(fn, p) for p in fn.outputs]
+    """One prefix view per output position, ordered by prefix length: a
+    fresh list of the function's shared views."""
+    return list(fn._prefix_views())
 
 
 def catalog_closure(catalog: Iterable[PathFunction]) -> list:
-    """All sub-functions of all catalog functions (the search vocabulary)."""
-    views = []
-    for fn in catalog:
-        views.extend(derive_sub_functions(fn))
-    return views
+    """All sub-functions of all catalog functions (the search vocabulary),
+    as a fresh list of the functions' shared views."""
+    return [v for fn in catalog for v in fn._prefix_views()]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -28,11 +29,13 @@ from pathplan.engine import (
     EmptyCatalogError,
     Member,
     _bounded_gate,
+    _concat_skeleton,
     _may_be_smart,
     _may_be_weak,
     _Searcher,
     _smart_plan,
     _smartable,
+    _weak_gate,
     search_successors,
     smart_plan_exists,
     state_consistent,
@@ -705,14 +708,37 @@ def test_weak_screen_is_necessary():
     # it and ends with the inverse of its second atom.
     r, s = Atom("r"), Atom("s")
     atoms = (r, r.invert(), s, s.invert())
-    q = AtomicQuery(r, "a")
-    weak = 0
-    for n in range(1, 7):
-        for skeleton in itertools.product(atoms, repeat=n):
-            if weakly_smart_skeleton(skeleton, q):
-                weak += 1
-                assert _may_be_weak(skeleton[:2], skeleton[-1], q), skeleton
-    assert weak == 42
+    for rel in (r, r.invert()):
+        q = AtomicQuery(rel, "a")
+        weak = 0
+        for n in range(1, 7):
+            for skeleton in itertools.product(atoms, repeat=n):
+                if weakly_smart_skeleton(skeleton, q):
+                    weak += 1
+                    assert _may_be_weak(skeleton[:2], skeleton[-1], q), skeleton
+        assert weak == 42, rel
+
+
+def test_weak_gate_matches_the_walk_kernel():
+    # The gate's screen and memo change no verdict: every sequence of one
+    # to three views of each closure, asked twice, gets the kernel's
+    # verdict on its concatenated skeleton.
+    screened = one_atom_heads = accepted = 0
+    for t in range(15, 30):
+        cat = _differential_catalog(t)
+        closure = catalog_closure(cat)
+        for q in _oriented_queries(cat):
+            gate = _weak_gate(q)
+            for n in (1, 2, 3):
+                for views in itertools.product(closure, repeat=n):
+                    skeleton = _concat_skeleton(views)
+                    verdict = weakly_smart_skeleton(skeleton, q)
+                    assert gate(views) == gate(views) == verdict, (t, q, views)
+                    screened += not _may_be_weak(skeleton[:2], skeleton[-1], q)
+                    one_atom_heads += n > 1 and len(views[0]) == 1
+                    accepted += verdict
+    # Most sequences are screened; many open with a one-atom view.
+    assert (screened, one_atom_heads, accepted) == (13645, 7584, 203)
 
 
 def test_plan_cap_sets_truncated():
@@ -787,6 +813,25 @@ def test_template_cache_keys_on_bodies_and_outputs():
     closures = [tuple(catalog_closure(cat)) for cat in catalogs]
     assert len({id(engine._templates(c)) for c in closures}) == 3
     assert [engine._templates(c).closure for c in closures] == closures
+
+
+def test_function_hash_lets_equal_catalogs_share_templates():
+    # A function's cached hash is the dataclass's field hash, so set and
+    # dict orders are those of the generated hash; an equal catalog built
+    # apart finds the same entry, one with a changed output does not.
+    config = SynthConfig(4, 30, 3, seed=0)
+    first, second = gen_catalog(config), gen_catalog(config)
+    assert first == second and first[0] is not second[0]
+    for f in first:
+        assert hash(f) == hash((f.name, f.skeleton, f.outputs))
+    f = next(f for f in first if len(f) > 1)
+    outputs = (len(f),) if f.outputs != (len(f),) else (1, len(f))
+    changed = [dataclasses.replace(g, outputs=outputs) if g is f else g for g in first]
+    engine._templates.cache_clear()
+    for cat in (first, second, changed):
+        engine._templates(tuple(catalog_closure(cat)))
+    info = engine._templates.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
 
 
 def test_template_cache_builds_once_per_catalog(tmp_path):

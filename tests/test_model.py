@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -9,6 +12,7 @@ from pathplan import (
     FunctionCall,
     PathFunction,
     SubFunction,
+    catalog_closure,
     chain_plan,
     derive_sub_functions,
     plan_semantics,
@@ -76,6 +80,33 @@ def test_derive_sub_functions_prefix_ordered():
     ]
     for shorter, longer in zip(subs, subs[1:]):
         assert longer.skeleton[: len(shorter.skeleton)] == shorter.skeleton
+
+
+def test_closure_shares_each_functions_views():
+    # Every closure of a catalog holds the same view objects, in a fresh
+    # list that its caller may change.
+    catalog = fig1_catalog()
+    first, second = catalog_closure(catalog), catalog_closure(catalog)
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert catalog_closure(catalog) == second
+    for f in catalog:
+        views = derive_sub_functions(f)
+        assert views == [SubFunction(f, p) for p in f.outputs]
+        assert all(a is b for a, b in zip(views, derive_sub_functions(f)))
+
+
+def test_replaced_or_copied_function_gets_its_own_views():
+    # With both caches of f filled, a replaced, copied or unpickled
+    # function still hashes equal and names itself in its views.
+    f = fig1_catalog()[1]
+    hash(f), derive_sub_functions(f)
+    g = dataclasses.replace(f, name="other")
+    assert all(v.parent is g for v in derive_sub_functions(g))
+    for h in (dataclasses.replace(f), copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert h == f and hash(h) == hash(f)
+        assert all(v.parent is h for v in derive_sub_functions(h))
 
 
 def pi1(filtered=True):
