@@ -11,7 +11,7 @@ atom.
 
 The canonical database is itself a line of oriented atoms, so both
 decisions are walks along a line, answered yes or no by one kernel,
-``_walk``.
+``_walk``: a frontier sweep over the word, with pins at every boundary.
 """
 
 from __future__ import annotations
@@ -40,48 +40,42 @@ class Verdict:
     level: str
 
 
-def _walk(line: tuple, word: tuple, start: int, ends, pins: dict) -> bool:
+def _walk(line: tuple, word: tuple, start: int, pins: dict) -> bool:
     """Is there a walk along ``line`` from ``start`` emitting ``word``?
 
     Position p sits before line atom p: a forward step at p emits line[p]
     and moves to p+1; a backward step at p emits the inverse of line[p-1]
-    and moves to p-1.  The walk must end at a position in ``ends``, and
-    ``pins`` maps an inner boundary i of the word (the walk's position
-    after i < len(word) steps) to the positions allowed there.  The search
-    is depth-first, and a failed (position, boundary) pair is never
-    explored twice.
+    and moves to p-1.  ``pins`` maps a boundary i of the word (the walk's
+    position after i steps, 0 <= i <= len(word)) to the positions allowed
+    there, so the pin at len(word) says where the walk may end.  The walk
+    sweeps the word once, keeping the set of positions it can be at after
+    each atom; a pin filters that set at its boundary, and the answer comes
+    as soon as the set is empty or the word ends.
     """
     n = len(line)
     m = len(word)
-    # Positions a pin excludes start out dead, so unpinned walks pay nothing.
-    dead = set()
-    for i, allowed in pins.items():
-        dead.update((pos, i) for pos in range(n + 1) if pos not in allowed)
-
-    def go(pos: int, i: int) -> bool:
-        if i == m:
-            return pos in ends
-        if (pos, i) in dead:
-            return False
-        atom = word[i]
-        if pos >= 1:
-            prev = line[pos - 1]
-            # prev.invert() == atom, without building the inverted atom.
-            if prev.base == atom.base and prev.inverse != atom.inverse and go(pos - 1, i + 1):
-                return True
-        if pos <= n - 1 and line[pos] == atom and go(pos + 1, i + 1):
-            return True
-        dead.add((pos, i))
-        return False
-
-    return go(start, 0)
+    here = {start}
+    for i in range(m + 1):
+        if i in pins:
+            here = here.intersection(pins[i])
+        if not here or i == m:
+            return bool(here)
+        # Fields compare, not atoms: no inverse is built and no ``__eq__`` runs.
+        base, inverse = word[i].base, word[i].inverse
+        step = set()
+        for pos in here:
+            if pos >= 1 and line[pos - 1].base == base and line[pos - 1].inverse != inverse:
+                step.add(pos - 1)
+            if pos < n and line[pos].base == base and line[pos].inverse == inverse:
+                step.add(pos + 1)
+        here = step
 
 
 def find_walk(base: Sequence[Atom], candidate: Sequence[Atom], target: int) -> bool:
     """Is there a walk through ``base`` emitting ``candidate`` that starts
     at position len(base) and ends at ``target``?"""
     base = tuple(base)
-    return _walk(base, tuple(candidate), len(base), (target,), {})
+    return _walk(base, tuple(candidate), len(base), {len(candidate): (target,)})
 
 
 def is_bounded(skeleton: Sequence[Atom], query: AtomicQuery) -> Optional[tuple]:
@@ -129,10 +123,8 @@ def weakly_smart_semantics(sem: PathSemantics, query: AtomicQuery) -> bool:
     pins = dict.fromkeys(fmap, (1,))
     answers = (0, 2) if sem.skeleton[:1] == (query.relation,) else (0,)
     pins[sem.output] = tuple(p for p in answers if p in pins.get(sem.output, answers))
-    m = len(sem.skeleton)
     line = (query.relation.invert(),) + sem.skeleton
-    ends = pins.pop(m, range(m + 2))
-    return _walk(line, sem.skeleton, 1, ends, pins)
+    return _walk(line, sem.skeleton, 1, pins)
 
 
 def weakly_smart_skeleton(skeleton: Sequence[Atom], query: AtomicQuery) -> bool:

@@ -467,13 +467,15 @@ _WALK_END = {"bounded": 0, "loose": 1}
 class _Searcher:
     """One depth-first run over all seeds for a fixed query and closure.
 
-    The seeds come in two modes, ``bounded`` and ``loose`` (``_WALK_END``),
-    and each result is a call sequence that passes ``emit_gate``, if one is
-    given.  Smart plans need no mode of their own: they close the results
-    of these two (``_closings``).  A final call running past the query atom
-    to ``rel^-`` descends like a bounded bottom (``_bottoms``), and a walk
-    to position 1 closed by a ``(rel, rel^-)`` call is never minimal, since
-    that call's parent has a ``(rel)`` view.
+    The seeds come in two modes, ``bounded`` and ``loose``, and each seed
+    carries where its walk ends (``_WALK_END``): the run keeps that end on
+    the searcher while it searches the seed, and ``_assemble`` chains the
+    walk to it.  Each result is a call sequence that passes ``emit_gate``,
+    if one is given.  Smart plans need no mode of their own: they close the
+    results of these two (``_closings``).  A final call running past the
+    query atom to ``rel^-`` descends like a bounded bottom (``_bottoms``),
+    and a walk to position 1 closed by a ``(rel, rel^-)`` call is never
+    minimal, since that call's parent has a ``(rel)`` view.
 
     The run stops at its ``max_plans``-th result.  A state already on the
     current path is not entered again; one reached on another path is,
@@ -518,8 +520,9 @@ class _Searcher:
 
     def run(self):
         try:
-            for members, recs, mode in self._seeds():
-                self._search(frozenset(members), 1, recs, mode)
+            for members, recs, walk_end in self._seeds():
+                self._walk_end = walk_end
+                self._search(frozenset(members), 1, recs)
         except _StopSearch:
             return
 
@@ -571,7 +574,8 @@ class _Searcher:
     # -- seed construction ---------------------------------------------------
 
     def _seeds(self):
-        """Initial states: a designated start, a bottom structure, and at
+        """Initial states, each with its members, its call records and
+        where its walk ends: a designated start, a bottom structure, and at
         most one extra structure touching the first scanned position.
 
         All members whose atom windows align with scan 1 must be present in
@@ -610,7 +614,7 @@ class _Searcher:
                     for s in (extra, des, bottom):
                         if s is not None:
                             self._stamp(s, 1, members, recs)
-                    yield members, recs, mode
+                    yield members, recs, _WALK_END[mode]
 
     @staticmethod
     def _seed_combos(bottom, extra_list, options):
@@ -698,7 +702,7 @@ class _Searcher:
 
     # -- the depth-first search ------------------------------------------------
 
-    def _search(self, members, scan, recs, mode):
+    def _search(self, members, scan, recs):
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.stats.cause = "deadline"
             raise _StopSearch
@@ -713,7 +717,7 @@ class _Searcher:
             rec = search_successors(members)
             advanced = rec.advanced
             if not advanced:
-                self._emit(recs, mode)
+                self._emit(recs)
                 return
             started = list(rec.started)
             ended = list(rec.ended)
@@ -757,11 +761,11 @@ class _Searcher:
                 return
             if designated_ended and (begins or ends_n):
                 return
-            self._expand(advanced, scan + 1, recs, mode, designated_ended, begins, ends_n)
+            self._expand(advanced, scan + 1, recs, designated_ended, begins, ends_n)
         finally:
             self._path.remove(members)
 
-    def _expand(self, advanced, entry, recs, mode, designated_ended, begins, ends_n):
+    def _expand(self, advanced, entry, recs, designated_ended, begins, ends_n):
         """Search every child of a state: the advanced members plus the
         structure its needs call for and at most one valley crossing the
         entry position, which carries no need."""
@@ -790,9 +794,9 @@ class _Searcher:
             v for v in self._valleys.matching(current) if advanced.isdisjoint(v.member_set)
         ]
         if need == 0 and begins == ends_n:
-            self._search(advanced, entry, recs, mode)
+            self._search(advanced, entry, recs)
             for valley in valleys:
-                self._join(advanced, entry, recs, mode, (valley,))
+                self._join(advanced, entry, recs, (valley,))
         for base in bases:
             if (
                 base.designated != need
@@ -800,25 +804,25 @@ class _Searcher:
                 or not advanced.isdisjoint(base.member_set)
             ):
                 continue
-            self._join(advanced, entry, recs, mode, (base,))
+            self._join(advanced, entry, recs, (base,))
             for valley in valleys:
                 if base.member_set.isdisjoint(valley.member_set) and _compatible(
                     base.emission, valley.emission
                 ):
-                    self._join(advanced, entry, recs, mode, (base, valley))
+                    self._join(advanced, entry, recs, (base, valley))
 
-    def _join(self, advanced, entry, recs, mode, structures):
+    def _join(self, advanced, entry, recs, structures):
         """Stamp checked structures and search the state they form."""
         members = []
         recs = list(recs)
         for s in structures:
             self._stamp(s, entry, members, recs)
-        self._search(advanced.union(members), entry, recs, mode)
+        self._search(advanced.union(members), entry, recs)
 
     # -- plan assembly -----------------------------------------------------------
 
-    def _emit(self, recs: List[_CallRec], mode: str):
-        views = self._assemble(recs, mode)
+    def _emit(self, recs: List[_CallRec]):
+        views = self._assemble(recs)
         if views is None:
             return
         if self.emit_gate is not None and not self.emit_gate(views):
@@ -828,10 +832,11 @@ class _Searcher:
             self.stats.cause = "plan cap"
             raise _StopSearch
 
-    def _assemble(self, recs: List[_CallRec], mode: str) -> Optional[tuple]:
+    def _assemble(self, recs: List[_CallRec]) -> Optional[tuple]:
         """The plan's calls: the forward path's pieces in the order they
         start (``path_at``), then the walk stretches chained from the
-        path's top to the walk's end; None when they do not chain."""
+        path's top to the current seed's walk end; None when they do not
+        chain."""
         views = {}
         path = []
         walk = {}
@@ -842,7 +847,7 @@ class _Searcher:
             if rec.stretch is not None:
                 walk[rec.token] = rec.stretch
         top = 1 + sum(rec.path_atoms for rec in path)
-        chain = self._chain_walk(walk, top, _WALK_END[mode])
+        chain = self._chain_walk(walk, top, self._walk_end)
         if chain is None:
             return None
         path.sort(key=lambda rec: rec.path_at)
@@ -856,24 +861,25 @@ class _Searcher:
         """Order the walk stretches end-to-start from the forward path's top.
 
         Several stretches may share a top position (a turn call's descent can
-        share it with a later climb), so the chaining backtracks.
+        share it with a later climb), so the chaining backtracks (``_chain``).
         """
         starting = {}
         for tok in sorted(walk):
             starting.setdefault(walk[tok][0], []).append(tok)
+        return _chain(walk, starting, start, terminal, frozenset(walk))
 
-        def go(current, remaining):
-            if not remaining:
-                return [] if current == terminal else None
-            for tok in starting.get(current, ()):
-                if tok not in remaining:
-                    continue
-                rest = go(walk[tok][1], remaining - {tok})
-                if rest is not None:
-                    return [tok] + rest
-            return None
 
-        return go(start, frozenset(walk))
+def _chain(walk: dict, starting: dict, current: int, terminal: int, remaining: frozenset):
+    """The ``remaining`` stretches chained from ``current`` to ``terminal``,
+    those ``starting`` at a position tried in token order, or None."""
+    if not remaining:
+        return [] if current == terminal else None
+    for tok in starting.get(current, ()):
+        if tok in remaining:
+            rest = _chain(walk, starting, walk[tok][1], terminal, remaining - {tok})
+            if rest is not None:
+                return [tok] + rest
+    return None
 
 
 # -- public enumeration API --------------------------------------------------
@@ -981,6 +987,25 @@ def _minimal_filter(candidates, weaken, explicit_check):
     return [views for views, _ in accepted]
 
 
+def _weak_plans(closure, query: AtomicQuery, weak: Callable, max_plans: int, deadline) -> tuple:
+    """Call sequences over ``closure`` that ``weak`` accepts, and the stats
+    of the search.  One pass splits the views weakly smart on their own,
+    which dominate every longer plan calling them, from the rest, and stops
+    at the ``max_plans``-th; else the gated search over the rest adds at
+    most ``max_plans`` more."""
+    singles, rest = [], []
+    for v in closure:
+        if weak((v,)):
+            singles.append((v,))
+            if len(singles) >= max_plans:
+                return singles, _SearchStats(cause="plan cap")
+        else:
+            rest.append(v)
+    searcher = _Searcher(rest, query, max_plans=max_plans, deadline=deadline, emit_gate=weak)
+    searcher.run()
+    return singles + searcher.results, searcher.stats
+
+
 def enumerate_minimal_weakly_smart(
     query: AtomicQuery,
     catalog: Sequence[PathFunction],
@@ -994,22 +1019,8 @@ def enumerate_minimal_weakly_smart(
     """
     if not catalog:
         raise EmptyCatalogError("no functions")
-    closure = catalog_closure(catalog)
     weak = _weak_gate(query)
-    raw = [(v,) for v in closure if weak((v,))]
-    # A call whose view is weakly smart on its own dominates every
-    # multi-call plan containing it, so the search leaves those views out.
-    searcher = _Searcher(
-        [v for v in closure if not weak((v,))],
-        query,
-        max_plans=max_plans,
-        deadline=deadline,
-        emit_gate=weak,
-    )
-    searcher.run()
-    raw.extend(searcher.results)
-    # Every candidate already passed the weak gate, as a single call or
-    # through the searcher's emit gate.
+    raw, _ = _weak_plans(catalog_closure(catalog), query, weak, max_plans, deadline)
     hits = {tuple(v.key for v in views): views for views in raw}
     minimal = _minimal_filter(
         list(hits.values()),
@@ -1056,20 +1067,10 @@ def find_one_weakly_smart(
     closure = catalog_closure(catalog)
     bound = _state_bound(closure)
     weak = _weak_gate(query)
-    for v in closure:
-        if weak((v,)):
-            return FindResult(
-                PlanHit(chain_plan([v], query.constant), (v,), _shape_of((v,), query)),
-                0,
-                bound,
-            )
-    # No view is weakly smart on its own, so none dominates a longer plan.
-    searcher = _Searcher(closure, query, max_plans=1, deadline=deadline, emit_gate=weak)
-    searcher.run()
-    stats = searcher.stats
-    if not searcher.results:
+    plans, stats = _weak_plans(closure, query, weak, 1, deadline)
+    if not plans:
         return FindResult(None, stats.states_visited, bound, stats.cause)
-    views = minimize_views(searcher.results[0], weak)
+    views = minimize_views(plans[0], weak)
     hit = PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
     return FindResult(hit, stats.states_visited, bound)
 

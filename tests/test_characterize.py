@@ -22,6 +22,7 @@ from pathplan.characterize import (
     NOT_WEAKLY_SMART,
     SMART,
     WEAKLY_SMART_ONLY,
+    _walk,
     is_loosely_bounded,
 )
 
@@ -30,6 +31,8 @@ from util import (
     fn,
     jobtitle_query,
     music_catalog,
+    reference_walk,
+    reference_walks,
     reference_weakly_smart,
     split_bounded,
 )
@@ -50,6 +53,10 @@ def test_find_walk_paper_example():
     # One atom short, the walk stops at position 1, not 0.
     assert find_walk(base, candidate[:-1], 0) is False
     assert find_walk(base, candidate[:-1], 1) is True
+    for word in (candidate, candidate[:-1]):
+        for target in (0, 1):
+            expected = find_walk(base, word, target)
+            assert reference_walk(base, word, len(base), {len(word): (target,)}) is expected
 
 
 def test_find_walk_single_step():
@@ -59,6 +66,50 @@ def test_find_walk_single_step():
 
 def test_find_walk_wrong_relation():
     assert find_walk(atoms("r^-.a.b"), atoms("c"), 0) is False
+
+
+def test_walk_matches_reference():
+    # Every line of up to four atoms over r, s and their inverses, every
+    # start on it and every word of up to five atoms: the sweep answers as
+    # the brute-force walks do, with no pin and with one pin of a single
+    # position at any boundary, the end included.  A pin only drops walks,
+    # so the pinned cases are the words some walk emits.
+    oriented = [Atom("r"), Atom("r", True), Atom("s"), Atom("s", True)]
+    words = [list(itertools.product(oriented, repeat=m)) for m in range(6)]
+    # Words are looked up by number: hashing 2 million tuples of atoms
+    # would double the test's time.
+    number = {word: k for same_length in words for k, word in enumerate(same_length)}
+    unpinned = pinned = walkable = 0
+    for n in range(5):
+        for line in itertools.product(oriented, repeat=n):
+            for start in range(n + 1):
+                for m in range(6):
+                    walks = {}
+                    for word, path in reference_walks(line, start, m):
+                        walks.setdefault(word, []).append(path)
+                    emitted = {number[word] for word in walks}
+                    for k, word in enumerate(words[m]):
+                        assert _walk(line, word, start, {}) is (k in emitted), (line, word, start)
+                        unpinned += 1
+                    for word, paths in walks.items():
+                        for i in range(m + 1):
+                            visited = {path[i] for path in paths}
+                            for p in range(n + 1):
+                                found = _walk(line, word, start, {i: (p,)})
+                                assert found is (p in visited), (line, word, start, i, p)
+                                pinned += 1
+                                walkable += found
+    assert (unpinned, pinned, walkable) == (2174445, 876457, 190277)
+
+
+def test_long_skeleton_is_decided_without_deep_recursion():
+    # 3001 atoms: a walk that deep overflows the interpreter's stack if it
+    # recurses once per atom.
+    s, r = Atom("s"), Atom("r")
+    skeleton = (s,) * 1500 + (s.invert(),) * 1500 + (r,)
+    q = AtomicQuery(r, "a")
+    assert weakly_smart_skeleton(skeleton, q) is True
+    assert is_bounded(skeleton, q) == (s,) * 1500
 
 
 def test_is_bounded_pi1_shape():

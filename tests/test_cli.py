@@ -237,6 +237,20 @@ def test_plans_one_notes_truncation(tmp_path, capsys):
     assert "f13" in captured.out and captured.err == ""
 
 
+def test_long_body_is_checked_and_planned(tmp_path, capsys):
+    # A one-call plan over a 3001-atom body: deciding it walks 3001 atoms,
+    # deeper than the interpreter's stack allows a recursion to go.
+    body = " . ".join(["s"] * 1500 + ["s^-"] * 1500 + ["r"])
+    catalog = tmp_path / "long.cat"
+    catalog.write_text(f"f = {body}\n")
+    plan = tmp_path / "long.plan"
+    plan.write_text("call f(a -> v0)\noutput v0\n")
+    assert main(["check", "--functions", str(catalog), "--plan", str(plan), "--query", "r"]) == 0
+    assert capsys.readouterr().out == "check: weakly smart\n"
+    assert main(["plans", "--functions", str(catalog), "--query", "r", "--mode", "one"]) == 0
+    assert capsys.readouterr().out == "call f(a -> v0)\noutput v0\n"
+
+
 def test_unreadable_paths_are_usage_errors(capsys):
     # A directory where a file is expected: one error line, exit code 2.
     fig1, pi1 = demo("fig1.cat"), demo("pi1.plan")

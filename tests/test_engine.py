@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import random
 import time
@@ -23,7 +24,7 @@ from pathplan import (
     susie_plans,
 )
 from pathplan import characterize, engine
-from pathplan.characterize import SMART, weakly_smart_skeleton
+from pathplan.characterize import SMART, is_bounded, weakly_smart_skeleton
 from pathplan.dsl import parse_catalog, serialize_catalog, serialize_plan
 from pathplan.engine import (
     EmptyCatalogError,
@@ -644,6 +645,25 @@ def test_chain_walk_backtracks_among_stretches_sharing_a_top():
     assert _Searcher._chain_walk(walk, 5, 0) == [1, 2, 0, 3]
     assert _Searcher._chain_walk(walk, 5, 1) is None
     assert _Searcher._chain_walk({}, 1, 1) == []
+
+
+def test_walk_kernels_leave_no_cyclic_garbage():
+    # Nothing a walk builds refers to itself, so all of it is freed when
+    # the call returns, not by the cyclic collector.
+    r, s = Atom("r"), Atom("s")
+    skeleton = (s, s.invert(), r)
+    q = AtomicQuery(r, "a")
+    walk = {0: (5, 2), 1: (5, 3), 2: (3, 5), 3: (2, 0)}
+    gc.collect()
+    gc.disable()
+    try:
+        assert weakly_smart_skeleton(skeleton, q)
+        assert is_bounded(skeleton, q) == (s,)
+        assert gc.collect() == 0
+        assert _Searcher._chain_walk(walk, 5, 0) == [1, 2, 0, 3]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_lead_calls_skip_views_ending_at_the_pivot():

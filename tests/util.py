@@ -3,6 +3,7 @@ and oracles, and tiny catalog builders.
 
 The brute-force enumerators are independent oracles: they enumerate call
 chains exhaustively and keep the minimal ones, with no state machinery.
+The reference walks try every sequence of steps along a line.
 The smart-existence reference likewise tries every short call chain, with
 every filter and output, under ``is_smart``.
 The reference evaluator runs a plan row by row, one environment dict per
@@ -68,6 +69,35 @@ def split_bounded(skeleton, query):
         if find_walk((query.relation.invert(),) + skeleton[:m], skeleton[m:], 0):
             return skeleton[:m]
     return None
+
+
+def reference_walks(line, start, length):
+    """Every walk of ``length`` steps along ``line`` from ``start``: each
+    sequence of forward and backward steps is tried, with no memo, and one
+    that stays on the line gives the word it emits and the positions it
+    visits.  A forward step at p emits line[p], a backward step the inverse
+    of line[p-1]."""
+    for steps in itertools.product((1, -1), repeat=length):
+        word, path = [], [start]
+        for step in steps:
+            pos = path[-1]
+            if not 0 <= pos + min(step, 0) < len(line):
+                break
+            word.append(line[pos] if step == 1 else line[pos - 1].invert())
+            path.append(pos + step)
+        else:
+            yield tuple(word), tuple(path)
+
+
+def reference_walk(line, word, start, pins):
+    """``characterize._walk`` by brute force: does a walk from ``start``
+    emit ``word`` and meet every pin (boundary i -> the positions allowed
+    after i steps)?"""
+    word = tuple(word)
+    return any(
+        emitted == word and all(path[i] in allowed for i, allowed in pins.items())
+        for emitted, path in reference_walks(line, start, len(word))
+    )
 
 
 def brute_force_minimal_weak(query, catalog, max_calls=5):
