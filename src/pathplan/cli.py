@@ -5,7 +5,9 @@ failed, 5 characterization and oracle disagree.  Usage errors include a path
 that cannot be read or written, query text that is not ``NAME`` or
 ``NAME^-``, ``--max-plans``, ``--budget`` or ``--step`` below 1,
 ``--timeout`` below 0 and ``--timeout-ms`` at or below 0; a parse error
-names the file that does not parse.
+names the file that does not parse.  A ``plans`` search cut short by its
+deadline, depth or plan cap prints ``note: search truncated (CAUSE)`` on
+stderr and keeps its exit code.
 
 In-process ``main`` calls share one argparse parser and reuse the parsed
 catalog of unchanged ``--functions`` text (see ``_load_catalog``).
@@ -87,7 +89,7 @@ def _cmd_plans(args) -> int:
     doc = _load_catalog(args.functions)
     query = _parse_query(args.query, DEFAULT_CONSTANT)
     deadline = time.monotonic() + args.timeout if args.timeout else None
-    blocks: List[str] = []
+    cause = None
     if args.mode == "weak":
         hits = engine.enumerate_minimal_weakly_smart(
             query, list(doc), max_plans=args.max_plans, deadline=deadline
@@ -96,19 +98,22 @@ def _cmd_plans(args) -> int:
             dsl.serialize_plan(h.plan, note=f"shape: {h.shape}" if h.shape == "loose" else "")
             for h in hits
         ]
+        cause = hits.cause
     elif args.mode == "smart":
         hits = engine.enumerate_minimal_smart(
             query, list(doc), max_plans=args.max_plans, deadline=deadline
         )
         blocks = [dsl.serialize_plan(h.plan) for h in hits]
+        cause = hits.cause
     elif args.mode == "susie":
         hits = engine.susie_plans(query, list(doc))
         blocks = [dsl.serialize_plan(h.plan) for h in hits]
     else:  # one
         result = engine.find_one_weakly_smart(query, list(doc), deadline=deadline)
         blocks = [dsl.serialize_plan(result.hit.plan)] if result.hit else []
-        if result.truncated:
-            print(f"note: search truncated ({result.cause})", file=sys.stderr)
+        cause = result.cause
+    if cause is not None:
+        print(f"note: search truncated ({cause})", file=sys.stderr)
     blocks.sort()
     text = "\n".join(blocks)
     if args.out:

@@ -62,6 +62,12 @@ bottom of that shorter view, so the swap finds its plans.  A walk to
 position 1 closed by a ``(rel, rel^-)`` call is never minimal: the ``(rel)``
 view of that call's parent is a smart plan that embeds into it.
 Existence and find-one stop the same search at its first gated result.
+
+Both enumerations keep the candidates that no smaller accepted plan embeds,
+visited shortest first (``_minimal_filter``).  That filter is the only
+minimality decision, and it is exact on a search that finishes.  A search
+cut by its deadline, depth or plan cap returns what it found with the cause
+(``Hits``), and those plans may include ones that are not minimal.
 """
 
 from __future__ import annotations
@@ -892,6 +898,18 @@ class PlanHit:
     shape: str  # "bounded" | "loose"
 
 
+class Hits(list):
+    """An enumeration's hits, in order, and ``cause``: what cut its search
+    ("deadline", "depth" or "plan cap"), or None when the search finished.
+    The hits of a cut search may include plans that are not minimal."""
+
+    __slots__ = ("cause",)  # no per-list ``__dict__``
+
+    def __init__(self, hits=(), cause: Optional[str] = None):
+        super().__init__(hits)
+        self.cause = cause
+
+
 def _concat_skeleton(views: Sequence[SubFunction]) -> tuple:
     return tuple(a for v in views for a in v.skeleton)
 
@@ -934,15 +952,6 @@ def _bounded_gate(query: AtomicQuery) -> Callable:
     return bounded
 
 
-def _is_minimal_weak(views: tuple, weak: Callable) -> bool:
-    """No proper subsequence of the weakly smart ``views`` is weakly smart."""
-    if len(views) > 14:
-        # Exhaustive subsequences explode; the embedding filter against
-        # shorter accepted plans covers long candidates.
-        return True
-    return len(minimize_views(views, weak)) == len(views)
-
-
 def _embeds(small: Sequence[SubFunction], big: Sequence[SubFunction], weaken: bool) -> bool:
     """Is ``small`` a subsequence of ``big``, with each call matched to one
     of the same parent (optionally at a shorter prefix)?"""
@@ -958,14 +967,17 @@ def _embeds(small: Sequence[SubFunction], big: Sequence[SubFunction], weaken: bo
     return i == len(small)
 
 
-def _minimal_filter(candidates, weaken, explicit_check):
-    """Keep candidates no accepted smaller plan embeds into.
+def _minimal_filter(candidates, weaken, hit):
+    """The hits of the candidates that no accepted smaller plan embeds.
 
-    Candidates are processed shortest first, so any plan witnessing a
-    candidate's non-minimality has had its own minimal core accepted
-    earlier (the enumeration finds every minimal plan); embedding is
-    transitive over subsequences.  ``explicit_check`` runs only on the
-    candidates no accepted plan embeds, and accepts or rejects each.
+    This is the one minimality decision.  Candidates are visited shortest
+    first, and ``hit`` builds a visited candidate's hit, or returns None
+    for one that is no plan.  On a complete search it is exact: a
+    candidate with a proper (``weaken``: prefix-weakened) subsequence that
+    is a plan embeds a minimal plan, the search found that plan, and the
+    filter visited and accepted it earlier; embedding is transitive over
+    subsequences.  On a cut search a candidate whose minimal plans were
+    not found is kept, and the result's ``cause`` says so.
     """
     ordered = sorted(
         candidates,
@@ -975,16 +987,16 @@ def _minimal_filter(candidates, weaken, explicit_check):
             tuple(v.name for v in views),
         ),
     )
-    accepted = []  # (views, their parents' names)
+    accepted = []  # (hit, its parents' names)
     for views in ordered:
         parents = {v.parent.name for v in views}
         # A plan embeds only into a candidate calling all of its parents.
-        if any(p <= parents and _embeds(a, views, weaken) for a, p in accepted):
+        if any(p <= parents and _embeds(h.views, views, weaken) for h, p in accepted):
             continue
-        if not explicit_check(views):
-            continue
-        accepted.append((views, parents))
-    return [views for views, _ in accepted]
+        found = hit(views)
+        if found is not None:
+            accepted.append((found, parents))
+    return [h for h, _ in accepted]
 
 
 def _weak_plans(closure, query: AtomicQuery, weak: Callable, max_plans: int, deadline) -> tuple:
@@ -1011,28 +1023,29 @@ def enumerate_minimal_weakly_smart(
     catalog: Sequence[PathFunction],
     max_plans: int = 10000,
     deadline: Optional[float] = None,
-) -> List[PlanHit]:
+) -> Hits:
     """All minimal weakly smart plans, deduplicated and sorted.
 
-    Every emitted plan's semantics is weakly smart, no proper
-    call-subsequence of it is, and each such plan is found at least once.
+    Every emitted plan's semantics is weakly smart.  When the search
+    finishes (``cause`` None), no proper call-subsequence of an emitted
+    plan is, and every such plan is emitted.  A search cut by its deadline,
+    depth or plan cap says so in ``cause``, and its plans may include ones
+    that are not minimal.
     """
     if not catalog:
         raise EmptyCatalogError("no functions")
     weak = _weak_gate(query)
-    raw, _ = _weak_plans(catalog_closure(catalog), query, weak, max_plans, deadline)
-    hits = {tuple(v.key for v in views): views for views in raw}
-    minimal = _minimal_filter(
-        list(hits.values()),
+    raw, stats = _weak_plans(catalog_closure(catalog), query, weak, max_plans, deadline)
+    unique = {tuple(v.key for v in views): views for views in raw}
+    hits = _minimal_filter(
+        unique.values(),
         weaken=False,
-        explicit_check=lambda vs: _is_minimal_weak(vs, weak),
+        hit=lambda views: PlanHit(
+            chain_plan(views, query.constant), views, _shape_of(views, query)
+        ),
     )
-    out = [
-        PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
-        for views in minimal
-    ]
-    out.sort(key=lambda h: tuple(v.name for v in h.views))
-    return out
+    hits.sort(key=lambda h: tuple(v.name for v in h.views))
+    return Hits(hits, stats.cause)
 
 
 @dataclass
@@ -1271,53 +1284,15 @@ def _smart_plan(views: tuple, kind: str, constant: str) -> ExecutionPlan:
     return ExecutionPlan(plan.calls, ((filtered, constant),), output)
 
 
-def _is_minimal_smart(views: tuple, query: AtomicQuery, bounded: Callable) -> bool:
-    """No call subsequence, with calls possibly weakened to shorter prefix
-    views, admits a smart plan.
-
-    Prefix weakening matters: replacing a call by the sub-function that
-    stops at an earlier output can expose a shorter smart plan, and such a
-    plan makes the longer one useless.
-    """
-    n = len(views)
-    if n > 8:
-        # The embedding filter against shorter accepted plans handles long
-        # candidates; here only contiguous cuts are affordable.
-        for i in range(n):
-            for j in range(i, n):
-                sub = views[:i] + views[j + 1 :]
-                if sub and _smartable(sub, query, bounded):
-                    return False
-        return True
-    options = [
-        [SubFunction(v.parent, p) for p in v.parent.outputs if p <= v.prefix]
-        for v in views
-    ]
-    tried = set()
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            for weakened in itertools.product(*[options[i] for i in combo]):
-                if size == n and all(
-                    w.prefix == views[i].prefix for w, i in zip(weakened, combo)
-                ):
-                    continue
-                key = tuple(w.key for w in weakened)
-                if key in tried:
-                    continue
-                tried.add(key)
-                if _smartable(weakened, query, bounded):
-                    return False
-    return True
-
-
 def enumerate_minimal_smart(
     query: AtomicQuery,
     catalog: Sequence[PathFunction],
     max_plans: int = 10000,
     deadline: Optional[float] = None,
-) -> List[SmartHit]:
+) -> Hits:
     """All minimal smart plans: a bounded core plus a filter pinned inside
-    a query atom adjacent to the output.
+    a query atom adjacent to the output.  Minimality is exact when the
+    search finishes; a cut search says why in ``cause`` (``Hits``).
 
     When no call of the closure can end a smart plan (``_may_be_smart``),
     the answer is empty and no search runs.  Otherwise the cores are the
@@ -1333,13 +1308,13 @@ def enumerate_minimal_smart(
     Candidates are decided lazily: the minimality filter visits them
     shortest first, and only a sequence that no accepted plan embeds has
     its core's boundedness checked (once per core skeleton) and its plan
-    built.
+    built.  That filter alone decides minimality.
     """
     if not catalog:
         raise EmptyCatalogError("no functions")
     closure = catalog_closure(catalog)
     if not _may_be_smart(closure, query):
-        return []
+        return Hits()
     searcher = _Searcher(closure, query, max_plans=max_plans, deadline=deadline)
     searcher.run()
     tails = [t for t in closure if _is_tail(t, query)]
@@ -1350,23 +1325,16 @@ def enumerate_minimal_smart(
         for views in _closings(core, query, tails)
     }
     bounded = _bounded_gate(query)
-    hits = {}
 
-    def smart_and_minimal(views):
-        """Is the call sequence a smart plan, and minimal?  Records the
-        hit of a smart one."""
+    def hit(views):
         kind = _smartable(views, query, bounded)
         if kind is None:
-            return False
-        hits[views] = SmartHit(_smart_plan(views, kind, query.constant), views, kind)
-        return _is_minimal_smart(views, query, bounded)
+            return None
+        return SmartHit(_smart_plan(views, kind, query.constant), views, kind)
 
-    minimal = _minimal_filter(
-        list(unique.values()), weaken=True, explicit_check=smart_and_minimal
-    )
-    out = [hits[views] for views in minimal]
-    out.sort(key=lambda h: (tuple(v.name for v in h.views), h.kind))
-    return out
+    hits = _minimal_filter(unique.values(), weaken=True, hit=hit)
+    hits.sort(key=lambda h: (tuple(v.name for v in h.views), h.kind))
+    return Hits(hits, searcher.stats.cause)
 
 
 def smart_plan_exists(
@@ -1427,20 +1395,21 @@ def susie_plans(query: AtomicQuery, catalog: Sequence[PathFunction]) -> List[Sma
         if not _two_output_able(f):
             continue
         target = tuple(a.invert() for a in reversed(sk[:-1]))
-
-        def extend(prefix, covered):
-            if covered == len(target):
-                views = tuple(prefix) + (f,)
-                key = tuple(v.key for v in views)
-                if key not in out:
-                    out[key] = SmartHit(
-                        _smart_plan(views, "terminal", query.constant), views, "terminal"
-                    )
-                return
-            for w in closure:
-                wsk = w.skeleton
-                if target[covered : covered + len(wsk)] == wsk:
-                    extend(prefix + [w], covered + len(wsk))
-
-        extend([], 0)
+        _susie_extend(closure, target, f, query.constant, (), 0, out)
     return sorted(out.values(), key=lambda h: tuple(v.name for v in h.views))
+
+
+def _susie_extend(closure, target, f, constant, prefix: tuple, covered: int, out: dict):
+    """Add to ``out`` every terminal plan of calls over ``closure`` that
+    cover ``target`` after ``prefix``, which covers its first ``covered``
+    atoms, then call ``f``."""
+    if covered == len(target):
+        views = prefix + (f,)
+        key = tuple(v.key for v in views)
+        if key not in out:
+            out[key] = SmartHit(_smart_plan(views, "terminal", constant), views, "terminal")
+        return
+    for w in closure:
+        wsk = w.skeleton
+        if target[covered : covered + len(wsk)] == wsk:
+            _susie_extend(closure, target, f, constant, prefix + (w,), covered + len(wsk), out)

@@ -237,6 +237,21 @@ def test_plans_one_notes_truncation(tmp_path, capsys):
     assert "f13" in captured.out and captured.err == ""
 
 
+def test_plans_enumerations_note_truncation(capsys):
+    # Reaching --max-plans cuts the search: a stderr note says so, and
+    # stdout is as before.  Fig. 1 has one plan of each kind, so the cut
+    # run prints the complete run's plans; the complete run notes nothing.
+    for mode, expected in (("weak", EXPECTED_WEAK), ("smart", EXPECTED_SMART)):
+        argv = ["plans", "--functions", demo("fig1.cat"), "--query", "jobTitle", "--mode", mode]
+        assert main(argv + ["--max-plans", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == "note: search truncated (plan cap)\n"
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected and captured.err == ""
+
+
 def test_long_body_is_checked_and_planned(tmp_path, capsys):
     # A one-call plan over a 3001-atom body: deciding it walks 3001 atoms,
     # deeper than the interpreter's stack allows a recursion to go.

@@ -41,11 +41,13 @@ from pathplan.engine import (
     smart_plan_exists,
     state_consistent,
 )
+from pathplan.model import pivot_positions
 from pathplan.synth import SynthConfig, gen_catalog
 
 from test_acceptance import _no_existential_catalogs
 
 from util import (
+    brute_force_minimal_smart,
     brute_force_minimal_weak,
     brute_force_smart_plan,
     count_calls,
@@ -239,22 +241,24 @@ def test_susie_plans_are_smart():
 
 
 def test_minimize_outputs_are_minimal():
-    rng = random.Random(77)
+    # The embedding filter alone decides weak minimality: no returned plan,
+    # whatever its length, has a proper subsequence that is weakly smart.
+    checked = 0
     for seed in range(30):
         cat = gen_catalog(SynthConfig(2, 4, 2, seed=seed + 50))
         q = AtomicQuery(Atom("r1"), "a")
         hits = enumerate_minimal_weakly_smart(q, cat)
-        for hit in hits[:3]:
+        assert hits.cause is None
+        for hit in hits:
             views = hit.views
             n = len(views)
-            if n > 6:
-                continue
-            # No proper subsequence is weakly smart.
+            checked += 1
             for size in range(1, n):
                 for combo in itertools.combinations(range(n), size):
                     sub = [views[i] for i in combo]
                     sk = tuple(a for v in sub for a in v.skeleton)
                     assert not weakly_smart_skeleton(sk, q)
+    assert checked == 30
 
 
 def test_has_trivial_equivalent_rewriting():
@@ -449,6 +453,54 @@ def test_smart_existence_matches_brute_force():
                 found += 1
                 assert smart_plan_exists(q, cat), (i, q)
     assert found == 90
+
+
+def _multi_output_catalog(seed):
+    """Two relations, three or four functions of at most three atoms, each
+    with random outputs that include its last position."""
+    rng = random.Random(seed)
+    atoms = [Atom(base, inv) for base in ("r1", "r2") for inv in (False, True)]
+    cat = []
+    for i in range(rng.randint(3, 4)):
+        n = rng.randint(1, 3)
+        body = [rng.choice(atoms) for _ in range(n)]
+        while len(pivot_positions(body)) > 1:  # a function has at most one pivot
+            body = [rng.choice(atoms) for _ in range(n)]
+        outputs = {n} | {p for p in range(1, n) if rng.random() < 0.5}
+        cat.append(fn(f"f{i + 1}", body, sorted(outputs)))
+    return cat
+
+
+def test_smart_enumeration_matches_brute_force():
+    # The embedding filter alone decides which smart plans are minimal.  The
+    # plans of at most three calls (four on the last case) equal those of
+    # `brute_force_minimal_smart`, which tries every chain under `is_smart`
+    # and keeps the smart chains that no other one embeds into, calls
+    # possibly weakened to shorter prefix views.  The multi-output slice
+    # starts at seed 8: at seed 7 smart enumeration runs about 25 s for its
+    # r1 query (see CHANGES.md).
+    catalogs = [_differential_catalog(t) for t in range(0, 300, 17)]
+    catalogs += [_multi_output_catalog(seed) for seed in range(8, 20)]
+    cases = [(cat, _oriented_queries(cat), 3) for cat in catalogs]
+    hidden = list(parse_catalog(_HIDDEN_PLAN_CATALOG))
+    cases.append((hidden, [AtomicQuery(Atom("r2", True), "a")], 4))
+    mismatches = []
+    found = 0
+    for cat, queries, max_calls in cases:
+        for q in queries:
+            ref = set(brute_force_minimal_smart(q, cat, max_calls))
+            got = {
+                tuple(v.key for v in h.views)
+                for h in enumerate_minimal_smart(q, cat)
+                if len(h.views) <= max_calls
+            }
+            if got != ref:
+                mismatches.append((serialize_catalog(cat), q, got ^ ref))
+            found += len(ref)
+    assert mismatches == []
+    # The hidden catalog's r2^- plan: f3[2].f1.f2.f4.
+    assert ref == {(("f3", 2), ("f1", 3), ("f2", 2), ("f4", 2))}
+    assert found == 82
 
 
 def test_capped_smart_enumeration_keeps_inverse_terminal_plans():
@@ -654,6 +706,9 @@ def test_walk_kernels_leave_no_cyclic_garbage():
     skeleton = (s, s.invert(), r)
     q = AtomicQuery(r, "a")
     walk = {0: (5, 2), 1: (5, 3), 2: (3, 5), 3: (2, 0)}
+    # A function and its cached prefix views refer to each other, so the
+    # catalog is held through the block.
+    fig1 = fig1_catalog()
     gc.collect()
     gc.disable()
     try:
@@ -661,6 +716,8 @@ def test_walk_kernels_leave_no_cyclic_garbage():
         assert is_bounded(skeleton, q) == (s,)
         assert gc.collect() == 0
         assert _Searcher._chain_walk(walk, 5, 0) == [1, 2, 0, 3]
+        assert gc.collect() == 0
+        assert len(susie_plans(jobtitle_query(), fig1)) == 1
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -768,6 +825,21 @@ def test_plan_cap_sets_truncated():
     searcher.run()
     assert len(searcher.results) == 1
     assert searcher.stats.truncated
+
+
+def test_enumerations_report_their_cause():
+    # A cut enumeration says what cut it, and a finished one says None.
+    # Each kind has two plans here, none of them a single call, so an
+    # expired deadline leaves no plan.
+    q = AtomicQuery(Atom("r4", True), "a")
+    cat = _differential_catalog(296)
+    for enumerate_plans in (enumerate_minimal_weakly_smart, enumerate_minimal_smart):
+        full = enumerate_plans(q, cat)
+        assert len(full) == 2 and full.cause is None
+        capped = enumerate_plans(q, cat, max_plans=1)
+        assert capped == full[:1] and capped.cause == "plan cap"
+        late = enumerate_plans(q, cat, deadline=time.monotonic() - 1.0)
+        assert late == [] and late.cause == "deadline"
 
 
 def test_find_one_reports_truncation():

@@ -4,8 +4,9 @@ and oracles, and tiny catalog builders.
 The brute-force enumerators are independent oracles: they enumerate call
 chains exhaustively and keep the minimal ones, with no state machinery.
 The reference walks try every sequence of steps along a line.
-The smart-existence reference likewise tries every short call chain, with
-every filter and output, under ``is_smart``.
+The smart references likewise try every short call chain, with every
+filter and output, under ``is_smart``; the minimal-smart one keeps a smart
+chain that no other smart chain embeds into with prefix weakening.
 The reference evaluator runs a plan row by row, one environment dict per
 row and one call per row and call, and the reference oracles evaluate the
 plan and its filter-free version on every member of the instance family.
@@ -23,11 +24,13 @@ from pathplan import (
     ExecutionPlan,
     PathFunction,
     PathSemantics,
+    SubFunction,
     canonical_weak_database,
     catalog_closure,
     chain_plan,
     find_walk,
     is_smart,
+    is_well_filtering,
 )
 from pathplan.characterize import SMART
 from pathplan.evaluate import (
@@ -137,33 +140,100 @@ def brute_force_minimal_weak(query, catalog, max_calls=5):
     return out
 
 
+def _chained_plans(views, constant):
+    """Every plan over the call chain ``views`` that the smart references
+    try: the last call binds its last position, or its last two where its
+    parent has an output at the one before; no filter or one filter of a
+    variable on ``constant``; and every variable as the output."""
+    last = views[-1]
+    binds = [False]
+    if len(last) >= 2 and len(last) - 1 in last.bindable:
+        binds.append(True)
+    for two_outputs in binds:
+        calls = chain_plan(views, constant, two_output_last=two_outputs).calls
+        variables = [name for call in calls for name in call.outputs]
+        for filters in [()] + [((var, constant),) for var in variables]:
+            for output in variables:
+                yield ExecutionPlan(calls, filters, output)
+
+
 def brute_force_smart_plan(query, catalog, max_calls=3):
     """The first smart plan of at most ``max_calls`` calls, fewest calls
     first, or None, by trying every call chain over the closure.
 
-    The last call binds its last position, and is tried binding its last
-    two as well where its parent has an output at the one before.  Each
-    chain is tried with no filter or one filter of a variable on the query
-    constant, and with every variable as the output; ``is_smart`` decides
-    each plan.
+    Each chain is tried with every plan of ``_chained_plans``; ``is_smart``
+    decides each plan.
     """
     closure = catalog_closure(catalog)
-    constant = query.constant
     for k in range(1, max_calls + 1):
         for views in itertools.product(closure, repeat=k):
-            last = views[-1]
-            binds = [False]
-            if len(last) >= 2 and len(last) - 1 in last.bindable:
-                binds.append(True)
-            for two_outputs in binds:
-                calls = chain_plan(views, constant, two_output_last=two_outputs).calls
-                variables = [name for call in calls for name in call.outputs]
-                for filters in [()] + [((var, constant),) for var in variables]:
-                    for output in variables:
-                        plan = ExecutionPlan(calls, filters, output)
-                        if is_smart(plan, query).level == SMART:
-                            return plan
+            for plan in _chained_plans(views, query.constant):
+                if is_smart(plan, query).level == SMART:
+                    return plan
     return None
+
+
+def smart_chain_reference(query):
+    """A decision on call chains: is some plan of ``_chained_plans`` over
+    the chain smart under ``is_smart``?  Verdicts are remembered per plan
+    semantics, which decides ``is_smart`` on a chained plan.  A smart plan
+    is well-filtering, so ``is_well_filtering`` answers first, and
+    ``is_smart`` does not fall back to deciding weak smartness on plans
+    that cannot be smart."""
+    verdicts = {}
+
+    def smart(views):
+        for plan in _chained_plans(views, query.constant):
+            sem = plan_semantics(plan)
+            verdict = verdicts.get(sem)
+            if verdict is None:
+                verdict = verdicts[sem] = (
+                    is_well_filtering(plan, query) and is_smart(plan, query).level == SMART
+                )
+            if verdict:
+                return True
+        return False
+
+    return smart
+
+
+def weakenings(views):
+    """Every other call chain that embeds into ``views`` with prefix
+    weakening: each subsequence, each call replaced by a view of the same
+    parent whose prefix is an output no longer than the call's, except
+    ``views`` itself."""
+    options = [
+        [SubFunction(v.parent, p) for p in v.parent.outputs if p <= v.prefix] for v in views
+    ]
+    key = tuple(v.key for v in views)
+    seen = set()
+    for size in range(1, len(views) + 1):
+        for idxs in itertools.combinations(range(len(views)), size):
+            for sub in itertools.product(*(options[i] for i in idxs)):
+                sub_key = tuple(w.key for w in sub)
+                if sub_key != key and sub_key not in seen:
+                    seen.add(sub_key)
+                    yield sub
+
+
+def brute_force_minimal_smart(query, catalog, max_calls=3):
+    """Exhaustive chains of at most ``max_calls`` closure views, kept iff
+    smart (``smart_chain_reference``) and no other smart chain embeds into
+    them with prefix weakening (``weakenings``), keyed by their views'
+    keys.  A chain's weakenings have no more calls than it, so every one
+    is among the chains tried."""
+    closure = catalog_closure(catalog)
+    smart = smart_chain_reference(query)
+    chains = {}
+    for k in range(1, max_calls + 1):
+        for views in itertools.product(closure, repeat=k):
+            if smart(views):
+                chains[tuple(v.key for v in views)] = views
+    return {
+        key: views
+        for key, views in chains.items()
+        if not any(tuple(w.key for w in sub) in chains for sub in weakenings(views))
+    }
 
 
 def reference_call_rows(view, input_value, instance, mode=STANDARD):
