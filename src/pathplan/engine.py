@@ -39,6 +39,14 @@ plan.  A plan is assembled from the stamped records: the forward path's
 pieces in the order they start, then the walk stretches chained from the
 path's top to the walk's end.
 
+The search drops a path as soon as its stretches can no longer chain
+(``_Walk``).  Chaining needs one trail from the top to the walk end: every
+position balanced but those two, and every stretch connected to the top.
+Calls that join after scan 1 touch only walk positions past the scan they
+enter at, and the top lies above the scan, so each scan closes a position
+for good.  A path whose closed position is off its balance, or whose
+stretches form a component that the scan closes, cannot assemble.
+
 The templates that follow from the closure alone (the ender, beginner,
 valley and designated tables and the beginner-ender pairs) are built once
 per closure value and shared by every query and seed mode on an equal
@@ -205,6 +213,65 @@ class _CallRec:
     path_atoms: int
     path_at: int
     stretch: Optional[tuple]
+
+
+class _Walk:
+    """A search path's walk stretches as a multigraph on walk positions:
+    each position's balance (stretches leaving it less those entering it)
+    and a union-find whose roots are each component's last position.
+
+    The stretches chain (``_chain``) only when they form one trail from the
+    forward path's top down to the walk end: the walk end's balance is -1,
+    that of every other position but the top 0, and all of them are
+    connected to the top.  Every template that joins after scan 1 (ender,
+    beginner, valley, designated or pair) has stretch offsets >= 0, so no
+    call stamped later touches a position at or before the current scan;
+    and the top lies above the scan, since the forward path's active piece
+    covers the scanned atom.  So a scan that closes a position off its
+    balance, or closes the last position of a component, dooms the path
+    (``dooms``).  Scan 1 also closes position 0, which seeds leave at its
+    balance: it is a bounded seed's walk end, and a loose seed enters it
+    only by a dive whose tail climbs back to 1.
+    """
+
+    __slots__ = ("balance", "up")
+
+    def __init__(self, balance: dict, up: dict):
+        self.balance = balance
+        self.up = up  # a later position in each position's component; none for a root
+
+    def joined(self, recs) -> "_Walk":
+        """This walk with the stretches of ``recs`` added; it is not changed."""
+        balance = up = None
+        for rec in recs:
+            stretch = rec.stretch
+            if stretch is None:
+                continue
+            if balance is None:
+                balance, up = self.balance.copy(), self.up.copy()
+            a, b = stretch
+            balance[a] = balance.get(a, 0) + 1
+            balance[b] = balance.get(b, 0) - 1
+            while a in up:
+                a = up[a]
+            while b in up:
+                b = up[b]
+            if a < b:
+                up[a] = b
+            elif b < a:
+                up[b] = a
+        return self if balance is None else _Walk(balance, up)
+
+    def dooms(self, scan: int, walk_end: int) -> bool:
+        """Does closing position ``scan`` leave stretches that cannot chain
+        from the top to ``walk_end``?"""
+        balance = self.balance.get(scan)
+        return balance is not None and (
+            balance != -(scan == walk_end) or scan not in self.up
+        )
+
+
+_NO_WALK = _Walk({}, {})
 
 
 @dataclass(frozen=True)
@@ -486,6 +553,9 @@ class _Searcher:
     The run stops at its ``max_plans``-th result.  A state already on the
     current path is not entered again; one reached on another path is,
     since whether a path assembles into a plan depends on its call records.
+    Beside the records each path carries its walk stretches as a graph
+    (``_Walk``), and a state at a scan that dooms them is not entered: no
+    later call can make them chain.
 
     Every structure that can join a state is a template without token or
     entry scan.  The tables of enders, beginners, valleys and designated
@@ -528,7 +598,7 @@ class _Searcher:
         try:
             for members, recs, walk_end in self._seeds():
                 self._walk_end = walk_end
-                self._search(frozenset(members), 1, recs)
+                self._search(frozenset(members), 1, recs, _NO_WALK.joined(recs))
         except _StopSearch:
             return
 
@@ -708,10 +778,12 @@ class _Searcher:
 
     # -- the depth-first search ------------------------------------------------
 
-    def _search(self, members, scan, recs):
+    def _search(self, members, scan, recs, walk):
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.stats.cause = "deadline"
             raise _StopSearch
+        if walk.dooms(scan, self._walk_end):
+            return
         if scan > _MAX_DEPTH:
             self.stats.cause = "depth"
             return
@@ -767,11 +839,11 @@ class _Searcher:
                 return
             if designated_ended and (begins or ends_n):
                 return
-            self._expand(advanced, scan + 1, recs, designated_ended, begins, ends_n)
+            self._expand(advanced, scan + 1, recs, walk, designated_ended, begins, ends_n)
         finally:
             self._path.remove(members)
 
-    def _expand(self, advanced, entry, recs, designated_ended, begins, ends_n):
+    def _expand(self, advanced, entry, recs, walk, designated_ended, begins, ends_n):
         """Search every child of a state: the advanced members plus the
         structure its needs call for and at most one valley crossing the
         entry position, which carries no need."""
@@ -800,9 +872,9 @@ class _Searcher:
             v for v in self._valleys.matching(current) if advanced.isdisjoint(v.member_set)
         ]
         if need == 0 and begins == ends_n:
-            self._search(advanced, entry, recs)
+            self._search(advanced, entry, recs, walk)
             for valley in valleys:
-                self._join(advanced, entry, recs, (valley,))
+                self._join(advanced, entry, recs, walk, (valley,))
         for base in bases:
             if (
                 base.designated != need
@@ -810,20 +882,21 @@ class _Searcher:
                 or not advanced.isdisjoint(base.member_set)
             ):
                 continue
-            self._join(advanced, entry, recs, (base,))
+            self._join(advanced, entry, recs, walk, (base,))
             for valley in valleys:
                 if base.member_set.isdisjoint(valley.member_set) and _compatible(
                     base.emission, valley.emission
                 ):
-                    self._join(advanced, entry, recs, (base, valley))
+                    self._join(advanced, entry, recs, walk, (base, valley))
 
-    def _join(self, advanced, entry, recs, structures):
+    def _join(self, advanced, entry, recs, walk, structures):
         """Stamp checked structures and search the state they form."""
         members = []
+        start = len(recs)
         recs = list(recs)
         for s in structures:
             self._stamp(s, entry, members, recs)
-        self._search(advanced.union(members), entry, recs)
+        self._search(advanced.union(members), entry, recs, walk.joined(recs[start:]))
 
     # -- plan assembly -----------------------------------------------------------
 
@@ -842,7 +915,7 @@ class _Searcher:
         """The plan's calls: the forward path's pieces in the order they
         start (``path_at``), then the walk stretches chained from the
         path's top to the current seed's walk end; None when they do not
-        chain."""
+        chain (the walk prune, ``_Walk``, drops most such paths early)."""
         views = {}
         path = []
         walk = {}

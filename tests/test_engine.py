@@ -349,8 +349,9 @@ _HIDDEN_PLAN_CATALOG = (
     "f4 = r1^- . r2^- | out 1 2\n"
 )
 
-# Four small multi-output functions on which smart enumeration runs for a
-# minute or more on every query.
+# Four small multi-output functions on which smart enumeration takes a few
+# seconds per query: r2 finishes, and the other three stop at the plan cap.
+# Without the walk prune each query runs for a minute or more.
 _BLOW_UP_CATALOG = (
     "f1 = r2 . r2^- . r1^- | out 1 2 3\nf2 = r1^- . r2 . r2^- | out 1 3\n"
     "f3 = r2^- . r1 . r1 | out 1 3\nf4 = r2^- . r2 . r1 | out 1 2 3\n"
@@ -476,11 +477,9 @@ def test_smart_enumeration_matches_brute_force():
     # plans of at most three calls (four on the last case) equal those of
     # `brute_force_minimal_smart`, which tries every chain under `is_smart`
     # and keeps the smart chains that no other one embeds into, calls
-    # possibly weakened to shorter prefix views.  The multi-output slice
-    # starts at seed 8: at seed 7 smart enumeration runs about 25 s for its
-    # r1 query (see CHANGES.md).
+    # possibly weakened to shorter prefix views.
     catalogs = [_differential_catalog(t) for t in range(0, 300, 17)]
-    catalogs += [_multi_output_catalog(seed) for seed in range(8, 20)]
+    catalogs += [_multi_output_catalog(seed) for seed in range(20)]
     cases = [(cat, _oriented_queries(cat), 3) for cat in catalogs]
     hidden = list(parse_catalog(_HIDDEN_PLAN_CATALOG))
     cases.append((hidden, [AtomicQuery(Atom("r2", True), "a")], 4))
@@ -500,7 +499,92 @@ def test_smart_enumeration_matches_brute_force():
     assert mismatches == []
     # The hidden catalog's r2^- plan: f3[2].f1.f2.f4.
     assert ref == {(("f3", 2), ("f1", 3), ("f2", 2), ("f4", 2))}
-    assert found == 82
+    assert found == 107
+
+
+def test_chain_prune_is_sound(monkeypatch):
+    # The search drops a path once its walk stretches can no longer chain
+    # (`engine._Walk`).  With that prune switched off, weak and smart
+    # enumeration and find-one give the same plans in the same order, with
+    # the same cause.
+    catalogs = [_differential_catalog(t) for t in range(0, 300, 5)]
+    catalogs += [_multi_output_catalog(seed) for seed in range(20)]
+    catalogs.append(list(parse_catalog(_HIDDEN_PLAN_CATALOG)))
+
+    def outputs():
+        found = []
+        for cat in catalogs:
+            for q in _oriented_queries(cat):
+                for enumerate_plans in (enumerate_minimal_weakly_smart, enumerate_minimal_smart):
+                    hits = enumerate_plans(q, cat)
+                    found.append((hits.cause, [serialize_plan(h.plan) for h in hits]))
+                one = find_one_weakly_smart(q, cat)
+                found.append((one.cause, one.hit and serialize_plan(one.hit.plan)))
+        return found
+
+    pruned = outputs()
+    assert sum(len(plans) for _, plans in pruned[::3]) == 236  # weak plans compared
+    monkeypatch.setattr(engine._Walk, "dooms", lambda self, scan, walk_end: False)
+    assert outputs() == pruned
+
+
+def test_multi_output_7_smart_states_pinned():
+    # Smart enumeration for r1 here visited 971869 states, about 25 s,
+    # before the search dropped paths whose walk stretches cannot chain.
+    cat = _multi_output_catalog(7)
+    q = AtomicQuery(Atom("r1"), "a")
+    searcher = _Searcher(catalog_closure(cat), q)
+    searcher.run()
+    assert (searcher.stats.states_visited, searcher.stats.cause) == (611, None)
+    hits = enumerate_minimal_smart(q, cat)
+    assert hits.cause is None and len(hits) == 2
+
+
+def test_late_templates_stretch_forward():
+    # The walk prune rests on this: every structure that can join after
+    # scan 1 (ender, beginner, valley, designated or pair) spans only walk
+    # positions at or after the scan it enters at, so no later call touches
+    # a position the scan has passed.
+    catalogs = [_differential_catalog(t) for t in range(300)]
+    catalogs += [_multi_output_catalog(seed) for seed in range(300)]
+    checked = 0
+    for cat in catalogs:
+        templates = engine._Templates(tuple(catalog_closure(cat)))
+        tables = (templates.enders, templates.beginners, templates.valleys, templates.designated)
+        structures = [s for table in tables for s in table.all] + templates.pairs(None)
+        for call in (call for s in structures for call in s.calls):
+            if call.stretch is not None:
+                assert min(call.stretch) >= 0, (call.view, call.stretch)
+                checked += 1
+    assert checked == 17328  # calls checked: no family is skipped unseen
+
+
+def test_searched_paths_keep_their_top_above_the_scan(monkeypatch):
+    # The walk prune's other premise: the forward path's active piece covers
+    # the scanned atom, so its top lies above the scan and no position the
+    # scan closes is the top.  Every leaf the search then reaches chains.
+    search = _Searcher._search
+    chain_walk = _Searcher._chain_walk
+    states, chains = [], []
+
+    def checked_search(self, members, scan, recs, walk):
+        states.append(1 + sum(rec.path_atoms for rec in recs) > scan)
+        return search(self, members, scan, recs, walk)
+
+    def checked_chain_walk(walk, start, terminal):
+        chains.append(chain_walk(walk, start, terminal))
+        return chains[-1]
+
+    monkeypatch.setattr(_Searcher, "_search", checked_search)
+    monkeypatch.setattr(_Searcher, "_chain_walk", staticmethod(checked_chain_walk))
+    catalogs = [_differential_catalog(t) for t in range(300)]
+    catalogs += [_multi_output_catalog(seed) for seed in range(60)]
+    for cat in catalogs:
+        for q in _oriented_queries(cat):
+            enumerate_minimal_weakly_smart(q, cat)
+            enumerate_minimal_smart(q, cat)
+    assert all(states) and None not in chains
+    assert (len(states), len(chains)) == (61413, 8467)
 
 
 def test_capped_smart_enumeration_keeps_inverse_terminal_plans():
@@ -587,7 +671,8 @@ def test_find_one_state_counts_pinned():
     # (t=292, r2 visits 15).  The search's one cycle check is path-local,
     # as in enumeration, so a query with no plan explores every path and a
     # state reached on two paths counts twice: the item-1 sum was 430 while
-    # find-one shared one visited set across paths.
+    # find-one shared one visited set across paths.  A path is dropped once
+    # its walk stretches can no longer chain: the item-1 sum was 564 before.
     def visited(catalogs):
         return sum(
             find_one_weakly_smart(q, cat).states_visited
@@ -597,7 +682,7 @@ def test_find_one_state_counts_pinned():
 
     item1 = [_differential_catalog(t) for t in range(250, 300)]
     assert sum(len(_oriented_queries(cat)) for cat in item1) == 288
-    assert visited(item1) == 564
+    assert visited(item1) == 362
     assert visited(gen_catalog(SynthConfig(4, 30, 3, seed=s)) for s in range(4)) == 103
 
 
