@@ -35,9 +35,13 @@ offsets from the scan it enters at.  A state looks its candidates up by
 the atom its members emit next, in closure order, and runs every check on
 the templates; a combination is stamped with fresh tokens and its entry
 scan only when it joins, so one template can become several calls of a
-plan.  A plan is assembled from the stamped records: the forward path's
-pieces in the order they start, then the walk stretches chained from the
-path's top to the walk's end.
+plan.  Tokens need only be unique along a path and follow stamp order:
+each seed numbers its calls from 0, its search goes on from there, and a
+run stamps each seed structure once per first token, so seeds that share
+a structure share its stamped members and records.  A plan is assembled
+from the stamped records: the forward path's pieces in the order they
+start, then the walk stretches chained from the path's top to the walk's
+end.
 
 The search drops a path as soon as its stretches can no longer chain
 (``_Walk``).  Chaining needs one trail from the top to the walk end: every
@@ -113,7 +117,6 @@ class NotWeaklySmartError(EngineError):
     pass
 
 
-@dataclass(frozen=True)
 class Member:
     """One positioned function (or function half) inside a search state.
 
@@ -123,20 +126,46 @@ class Member:
     member to a call and is excluded from state identity.  ``emissions``
     holds the atom emitted at each index (the inverse atoms for a backward
     member); it follows from ``atoms`` and ``forward``.
+
+    A member is a value: nothing assigns to its fields after construction,
+    since states, tables and the stamped calls of a run share members.  Its
+    hash is that of ``(fn_key, atoms, index, forward, designated)``,
+    computed once here, and equality compares those fields alone.
     """
 
-    fn_key: tuple
-    atoms: tuple
-    index: int
-    forward: bool
-    designated: bool = False
-    token: int = field(default=-1, compare=False, hash=False)
-    emissions: tuple = field(default=None, compare=False, hash=False, repr=False)
+    __slots__ = ("fn_key", "atoms", "index", "forward", "designated", "token", "emissions", "_hash")
 
-    def __post_init__(self):
-        if self.emissions is None:
-            emissions = self.atoms if self.forward else tuple(a.invert() for a in self.atoms)
-            object.__setattr__(self, "emissions", emissions)
+    def __init__(self, fn_key, atoms, index, forward, designated=False, token=-1, emissions=None):
+        self.fn_key = fn_key
+        self.atoms = atoms
+        self.index = index
+        self.forward = forward
+        self.designated = designated
+        self.token = token
+        if emissions is None:
+            emissions = atoms if forward else tuple(a.invert() for a in atoms)
+        self.emissions = emissions
+        self._hash = hash((fn_key, atoms, index, forward, designated))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Member:
+            return NotImplemented
+        return self._hash == other._hash and (
+            self.fn_key,
+            self.atoms,
+            self.index,
+            self.forward,
+            self.designated,
+        ) == (other.fn_key, other.atoms, other.index, other.forward, other.designated)
+
+    def __repr__(self):
+        return (
+            f"Member(fn_key={self.fn_key!r}, atoms={self.atoms!r}, index={self.index!r}, "
+            f"forward={self.forward!r}, designated={self.designated!r}, token={self.token!r})"
+        )
 
     def emission(self):
         if 1 <= self.index <= len(self.atoms):
@@ -202,11 +231,12 @@ def search_successors(members: Iterable[Member]) -> SuccessorRecord:
     return SuccessorRecord(frozenset(advanced), tuple(started), tuple(ended))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _CallRec:
     """A stamped call's share of a plan: the atoms it adds to the forward
     path (0 for none), the scan its forward piece starts at, and the walk
-    positions it spans (None for none)."""
+    positions it spans (None for none).  The seeds of one run share their
+    records (``_Searcher._seeds``), so a record never changes."""
 
     token: int
     view: SubFunction
@@ -363,6 +393,18 @@ def _structure(*calls: _Call) -> Optional[_Structure]:
         sum(1 for m in members if m.designated and m.index >= 1),
         any(m.designated and m.index < 1 for m in members),
     )
+
+
+def _stamp(structure: _Structure, entry: int, tokens, members: list, recs: list):
+    """Give each call of the structure, in call order, the entry scan and
+    the next token from ``tokens``, adding its members and records."""
+    for call in structure.calls:
+        tok = next(tokens)
+        members.extend(_at(m, m.index, tok) for m in call.members)
+        stretch = call.stretch
+        if stretch is not None:
+            stretch = (entry + stretch[0], entry + stretch[1])
+        recs.append(_CallRec(tok, call.view, call.path_atoms, entry + call.path_after, stretch))
 
 
 def _compatible(a, b) -> bool:
@@ -565,7 +607,10 @@ class _Searcher:
     lead calls, tails and bottoms), the seeds, tokens, the states on the
     current path and the stats belong to this run.  A state looks its
     candidates up by the atom it emits next, checks them as templates and
-    stamps a combination with fresh tokens only when it joins.  A state is
+    stamps a combination with fresh tokens only when it joins.  A seed's n
+    calls hold tokens 0..n-1 and its search stamps from n on, so tokens
+    are unique along each path and follow stamp order, which is all that
+    ``_chain_walk`` and the turn check in ``_search`` read.  A state is
     keyed by its member set alone: a turn call's pending ascent is one of
     its members.
     """
@@ -586,7 +631,7 @@ class _Searcher:
         self._path = set()  # the states on the current path
         self.stats = _SearchStats()
         self.results: List[tuple] = []
-        self._token_counter = itertools.count()
+        self._tokens = None  # the current seed's search stamps its next calls from here
         templates = _templates(tuple(self.closure))
         self._enders = templates.enders
         self._beginners = templates.beginners
@@ -598,20 +643,11 @@ class _Searcher:
         try:
             for members, recs, walk_end in self._seeds():
                 self._walk_end = walk_end
+                # The seed's calls hold tokens 0..n-1; its search goes on from n.
+                self._tokens = itertools.count(len(recs))
                 self._search(frozenset(members), 1, recs, _NO_WALK.joined(recs))
         except _StopSearch:
             return
-
-    def _stamp(self, structure: _Structure, entry: int, members: list, recs: list):
-        """Give each call of the structure, in call order, the entry scan and
-        a fresh token, adding its members and records."""
-        for call in structure.calls:
-            tok = next(self._token_counter)
-            members.extend(_at(m, m.index, tok) for m in call.members)
-            stretch = call.stretch
-            if stretch is not None:
-                stretch = (entry + stretch[0], entry + stretch[1])
-            recs.append(_CallRec(tok, call.view, call.path_atoms, entry + call.path_after, stretch))
 
     # -- the query's own structures -------------------------------------------
 
@@ -656,9 +692,17 @@ class _Searcher:
 
         All members whose atom windows align with scan 1 must be present in
         the seed; anything touching only later positions joins through
-        start/end events during the search.  A seed's calls are stamped in
-        the order extra, designated, bottom.
+        start/end events during the search.  A seed's calls are numbered
+        from 0 in the order extra, designated, bottom.  Each structure is
+        stamped once per first token in a run: a later seed with the same
+        bottom, designated option or extra at the same token reuses its
+        members and records, which nothing changes.
         """
+        # Each seed structure stamped once per first token: (id, token) ->
+        # (structure, members, records).  Identity is the key, since a
+        # structure's hash covers all of its calls, and the value keeps the
+        # structure alive so that its id is not reused.
+        stamped = {}
         # One-call extras: dives through the query atom and valleys.
         single_extras = [s for s in map(_structure, self._dip_calls()) if s is not None]
         single_extras += self._valleys.all
@@ -689,7 +733,13 @@ class _Searcher:
                     members, recs = [], []
                     for s in (extra, des, bottom):
                         if s is not None:
-                            self._stamp(s, 1, members, recs)
+                            key = (id(s), len(recs))
+                            found = stamped.get(key)
+                            if found is None:
+                                found = stamped[key] = (s, [], [])
+                                _stamp(s, 1, itertools.count(len(recs)), found[1], found[2])
+                            members += found[1]
+                            recs += found[2]
                     yield members, recs, _WALK_END[mode]
 
     @staticmethod
@@ -895,7 +945,7 @@ class _Searcher:
         start = len(recs)
         recs = list(recs)
         for s in structures:
-            self._stamp(s, entry, members, recs)
+            _stamp(s, entry, self._tokens, members, recs)
         self._search(advanced.union(members), entry, recs, walk.joined(recs[start:]))
 
     # -- plan assembly -----------------------------------------------------------

@@ -587,6 +587,81 @@ def test_searched_paths_keep_their_top_above_the_scan(monkeypatch):
     assert (len(states), len(chains)) == (61413, 8467)
 
 
+def test_member_hash_is_its_field_hash():
+    # A member's hash is computed once, and it is the hash of the fields
+    # that decide equality, so set and dict orders are those of the tuple.
+    members = [member("u.s^-", 2, False)]
+    for t in range(10):
+        templates = engine._Templates(tuple(catalog_closure(_differential_catalog(t))))
+        members += [m for s in templates.pairs(None) + templates.valleys.all for m in s.member_set]
+    for m in members:
+        assert hash(m) == hash((m.fn_key, m.atoms, m.index, m.forward, m.designated))
+        twin = Member(m.fn_key, m.atoms, m.index, m.forward, m.designated, m.token + 7, ())
+        assert twin == m and hash(twin) == hash(m) and {twin} == {m}
+        assert Member(m.fn_key, m.atoms, m.index + 1, m.forward, m.designated) != m
+        assert Member(m.fn_key, m.atoms, m.index, m.forward, not m.designated) != m
+        assert not hasattr(m, "__dict__")
+    assert len(members) == 244
+
+
+def test_seed_tokens_follow_stamp_order(monkeypatch):
+    # A run stamps each seed structure once per first token and numbers
+    # every seed's calls from 0, in the order extra, designated, bottom; the
+    # seed's search goes on from there.  Tokens need only be unique along a
+    # path and follow stamp order, which every emitted path shows.
+    seeds, seed_combos, emit = _Searcher._seeds, _Searcher._seed_combos, _Searcher._emit
+    combo = {}
+    paths = []
+    shared = 0
+
+    def recorded_combos(bottom, extra_list, options):
+        for extra, des in seed_combos(bottom, extra_list, options):
+            combo["parts"] = [s for s in (extra, des, bottom) if s is not None]
+            yield extra, des
+
+    def checked_seeds(self):
+        nonlocal shared
+        bottoms = {}  # (id, first token) -> (bottom, its members, its records)
+        for members, recs, walk_end in seeds(self):
+            parts = combo["parts"]
+            assert [r.view for r in recs] == [c.view for s in parts for c in s.calls]
+            assert [r.token for r in recs] == list(range(len(recs)))
+            bottom = parts[-1]
+            calls = len(bottom.calls)
+            size = sum(len(c.members) for c in bottom.calls)
+            key = (id(bottom), len(recs) - calls)
+            if key in bottoms:
+                _, first_members, first_recs = bottoms[key]
+                assert all(a is b for a, b in zip(first_members, members[-size:]))
+                assert all(a is b for a, b in zip(first_recs, recs[-calls:]))
+                shared += 1
+            else:
+                bottoms[key] = (bottom, members[-size:], recs[-calls:])
+            self.seed_recs = list(recs)
+            yield members, recs, walk_end
+
+    def recorded_emit(self, recs):
+        paths.append((self.seed_recs, list(recs)))
+        return emit(self, recs)
+
+    monkeypatch.setattr(_Searcher, "_seed_combos", staticmethod(recorded_combos))
+    monkeypatch.setattr(_Searcher, "_seeds", checked_seeds)
+    monkeypatch.setattr(_Searcher, "_emit", recorded_emit)
+    catalogs = [_differential_catalog(t) for t in range(0, 300, 5)]
+    catalogs += [_multi_output_catalog(seed) for seed in range(20)]
+    for cat in catalogs:
+        for q in _oriented_queries(cat):
+            enumerate_minimal_weakly_smart(q, cat)
+            enumerate_minimal_smart(q, cat)
+    for seed_recs, recs in paths:
+        n = len(seed_recs)
+        tokens = [r.token for r in recs]
+        # Strictly increasing: unique, and the later calls' tokens are >= n.
+        assert all(a is b for a, b in zip(recs, seed_recs)) and tokens[:n] == list(range(n))
+        assert all(a < b for a, b in zip(tokens, tokens[1:]))
+    assert (len(paths), shared) == (3226, 1892)
+
+
 def test_capped_smart_enumeration_keeps_inverse_terminal_plans():
     # The cap counts the search's cores; a core it found still gives its
     # inverse-terminal plans, f2.f4 (f2.f4[2]) and f6[1].f4 (f6[1].f4[2]).
