@@ -37,9 +37,8 @@ from .characterize import (
 from .engine import (
     BoundEstimate,
     EmptyCatalogError,
-    FindResult,
-    PlanHit,
-    SmartHit,
+    Hit,
+    Hits,
     bound_estimate,
     enumerate_minimal_smart,
     enumerate_minimal_weakly_smart,

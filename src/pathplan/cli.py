@@ -89,32 +89,25 @@ def _cmd_plans(args) -> int:
     doc = _load_catalog(args.functions)
     query = _parse_query(args.query, DEFAULT_CONSTANT)
     deadline = time.monotonic() + args.timeout if args.timeout else None
-    cause = None
     if args.mode == "weak":
         hits = engine.enumerate_minimal_weakly_smart(
             query, list(doc), max_plans=args.max_plans, deadline=deadline
         )
-        blocks = [
-            dsl.serialize_plan(h.plan, note=f"shape: {h.shape}" if h.shape == "loose" else "")
-            for h in hits
-        ]
-        cause = hits.cause
     elif args.mode == "smart":
         hits = engine.enumerate_minimal_smart(
             query, list(doc), max_plans=args.max_plans, deadline=deadline
         )
-        blocks = [dsl.serialize_plan(h.plan) for h in hits]
-        cause = hits.cause
     elif args.mode == "susie":
         hits = engine.susie_plans(query, list(doc))
-        blocks = [dsl.serialize_plan(h.plan) for h in hits]
     else:  # one
-        result = engine.find_one_weakly_smart(query, list(doc), deadline=deadline)
-        blocks = [dsl.serialize_plan(result.hit.plan)] if result.hit else []
-        cause = result.cause
-    if cause is not None:
-        print(f"note: search truncated ({cause})", file=sys.stderr)
-    blocks.sort()
+        hits = engine.find_one_weakly_smart(query, list(doc), deadline=deadline)
+    if hits.cause is not None:
+        print(f"note: search truncated ({hits.cause})", file=sys.stderr)
+    # Weak mode marks its loose plans.
+    loose = "shape: loose" if args.mode == "weak" else ""
+    blocks = sorted(
+        dsl.serialize_plan(h.plan, note=loose if h.kind == "loose" else "") for h in hits
+    )
     text = "\n".join(blocks)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

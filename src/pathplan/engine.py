@@ -77,9 +77,14 @@ Existence and find-one stop the same search at its first gated result.
 
 Both enumerations keep the candidates that no smaller accepted plan embeds,
 visited shortest first (``_minimal_filter``).  That filter is the only
-minimality decision, and it is exact on a search that finishes.  A search
-cut by its deadline, depth or plan cap returns what it found with the cause
-(``Hits``), and those plans may include ones that are not minimal.
+minimality decision, and it is exact on a search that finishes.
+
+Both enumerations, find-one and Susie's plans return one outcome type,
+``Hits``: the hits in order (each a ``Hit``: plan, calls and kind), the
+cause of a cut and the states the search entered.  A search cut by its
+deadline, depth or plan cap returns what it found with the cause, and
+those plans may include ones that are not minimal.  Existence
+(``smart_plan_exists``) still answers a bare bool.
 """
 
 from __future__ import annotations
@@ -557,16 +562,6 @@ def _templates(closure: tuple) -> _Templates:
 del _templates.__wrapped__
 
 
-@dataclass
-class _SearchStats:
-    states_visited: int = 0
-    cause: Optional[str] = None  # what cut the search last: "deadline", "depth" or "plan cap"
-
-    @property
-    def truncated(self) -> bool:
-        return self.cause is not None
-
-
 class _StopSearch(Exception):
     pass
 
@@ -592,7 +587,9 @@ class _Searcher:
     and a walk to position 1 closed by a ``(rel, rel^-)`` call is never
     minimal, since that call's parent has a ``(rel)`` view.
 
-    The run stops at its ``max_plans``-th result.  A state already on the
+    The run collects its results in ``results``, a ``Hits`` that also
+    counts the states entered and names what cut the run, if anything; it
+    stops at its ``max_plans``-th result.  A state already on the
     current path is not entered again; one reached on another path is,
     since whether a path assembles into a plan depends on its call records.
     Beside the records each path carries its walk stretches as a graph
@@ -605,7 +602,7 @@ class _Searcher:
     are built once per closure and shared with every other searcher on an
     equal closure (``_templates``).  The query's own structures (dips,
     lead calls, tails and bottoms), the seeds, tokens, the states on the
-    current path and the stats belong to this run.  A state looks its
+    current path and the results belong to this run.  A state looks its
     candidates up by the atom it emits next, checks them as templates and
     stamps a combination with fresh tokens only when it joins.  A seed's n
     calls hold tokens 0..n-1 and its search stamps from n on, so tokens
@@ -629,8 +626,7 @@ class _Searcher:
         self.deadline = deadline
         self.emit_gate = emit_gate
         self._path = set()  # the states on the current path
-        self.stats = _SearchStats()
-        self.results: List[tuple] = []
+        self.results = Hits()  # call sequences, with the run's cause and state count
         self._tokens = None  # the current seed's search stamps its next calls from here
         templates = _templates(tuple(self.closure))
         self._enders = templates.enders
@@ -830,17 +826,17 @@ class _Searcher:
 
     def _search(self, members, scan, recs, walk):
         if self.deadline is not None and time.monotonic() > self.deadline:
-            self.stats.cause = "deadline"
+            self.results.cause = "deadline"
             raise _StopSearch
         if walk.dooms(scan, self._walk_end):
             return
         if scan > _MAX_DEPTH:
-            self.stats.cause = "depth"
+            self.results.cause = "depth"
             return
         if members in self._path:
             return
         self._path.add(members)
-        self.stats.states_visited += 1
+        self.results.states_visited += 1
         try:
             rec = search_successors(members)
             advanced = rec.advanced
@@ -958,7 +954,7 @@ class _Searcher:
             return
         self.results.append(views)
         if len(self.results) >= self.max_plans:
-            self.stats.cause = "plan cap"
+            self.results.cause = "plan cap"
             raise _StopSearch
 
     def _assemble(self, recs: List[_CallRec]) -> Optional[tuple]:
@@ -1015,22 +1011,34 @@ def _chain(walk: dict, starting: dict, current: int, terminal: int, remaining: f
 
 
 @dataclass(frozen=True)
-class PlanHit:
+class Hit:
+    """A plan, its call sequence and its kind: a weak plan is "bounded" or
+    "loose", a smart one "trivial", "terminal", "inverse-terminal" or
+    "appended-inverse"."""
+
     plan: ExecutionPlan
     views: tuple
-    shape: str  # "bounded" | "loose"
+    kind: str
 
 
 class Hits(list):
-    """An enumeration's hits, in order, and ``cause``: what cut its search
-    ("deadline", "depth" or "plan cap"), or None when the search finished.
-    The hits of a cut search may include plans that are not minimal."""
+    """The outcome of every plan search: its hits in order, ``cause``, what
+    cut the search ("deadline", "depth" or "plan cap") or None when it
+    finished, and ``states_visited``, the states the search entered.  The
+    hits of a cut search may include plans that are not minimal.  A
+    ``_Searcher`` collects its raw call sequences in one too."""
 
-    __slots__ = ("cause",)  # no per-list ``__dict__``
+    __slots__ = ("cause", "states_visited")  # no per-list ``__dict__``
 
-    def __init__(self, hits=(), cause: Optional[str] = None):
+    def __init__(self, hits=(), cause: Optional[str] = None, states_visited: int = 0):
         super().__init__(hits)
         self.cause = cause
+        self.states_visited = states_visited
+
+    @property
+    def hit(self) -> Optional[Hit]:
+        """The first hit, or None."""
+        return self[0] if self else None
 
 
 def _concat_skeleton(views: Sequence[SubFunction]) -> tuple:
@@ -1122,23 +1130,24 @@ def _minimal_filter(candidates, weaken, hit):
     return [h for h, _ in accepted]
 
 
-def _weak_plans(closure, query: AtomicQuery, weak: Callable, max_plans: int, deadline) -> tuple:
-    """Call sequences over ``closure`` that ``weak`` accepts, and the stats
-    of the search.  One pass splits the views weakly smart on their own,
-    which dominate every longer plan calling them, from the rest, and stops
-    at the ``max_plans``-th; else the gated search over the rest adds at
-    most ``max_plans`` more."""
+def _weak_plans(closure, query: AtomicQuery, weak: Callable, max_plans: int, deadline) -> Hits:
+    """Call sequences over ``closure`` that ``weak`` accepts, with the
+    search's cause and state count.  One pass splits the views weakly smart
+    on their own, which dominate every longer plan calling them, from the
+    rest, and stops at the ``max_plans``-th; else the gated search over the
+    rest adds at most ``max_plans`` more."""
     singles, rest = [], []
     for v in closure:
         if weak((v,)):
             singles.append((v,))
             if len(singles) >= max_plans:
-                return singles, _SearchStats(cause="plan cap")
+                return Hits(singles, "plan cap")
         else:
             rest.append(v)
     searcher = _Searcher(rest, query, max_plans=max_plans, deadline=deadline, emit_gate=weak)
     searcher.run()
-    return singles + searcher.results, searcher.stats
+    searcher.results[:0] = singles
+    return searcher.results
 
 
 def enumerate_minimal_weakly_smart(
@@ -1158,63 +1167,45 @@ def enumerate_minimal_weakly_smart(
     if not catalog:
         raise EmptyCatalogError("no functions")
     weak = _weak_gate(query)
-    raw, stats = _weak_plans(catalog_closure(catalog), query, weak, max_plans, deadline)
+    raw = _weak_plans(catalog_closure(catalog), query, weak, max_plans, deadline)
     unique = {tuple(v.key for v in views): views for views in raw}
     hits = _minimal_filter(
         unique.values(),
         weaken=False,
-        hit=lambda views: PlanHit(
-            chain_plan(views, query.constant), views, _shape_of(views, query)
-        ),
+        hit=lambda views: _weak_hit(views, query),
     )
     hits.sort(key=lambda h: tuple(v.name for v in h.views))
-    return Hits(hits, stats.cause)
-
-
-@dataclass
-class FindResult:
-    """Find-one's answer.  ``cause`` names the last cut ("deadline" or
-    "depth") of a search that found no plan, which then does not mean that
-    no plan exists."""
-
-    hit: Optional[PlanHit]
-    states_visited: int
-    state_bound: int
-    cause: Optional[str] = None
-
-    @property
-    def truncated(self) -> bool:
-        return self.cause is not None
+    return Hits(hits, raw.cause, raw.states_visited)
 
 
 def find_one_weakly_smart(
     query: AtomicQuery,
     catalog: Sequence[PathFunction],
     deadline: Optional[float] = None,
-) -> FindResult:
-    """First weakly smart plan found, minimized.
+) -> Hits:
+    """First weakly smart plan found, minimized: at most one hit (``hit``).
 
     A weakly smart single call answers first; otherwise the weak search
     stops at its first gated result.  That stop is not a cut, so a hit
-    comes with no ``cause``.
+    comes with no ``cause``.  Without a hit, ``cause`` names the last cut
+    ("deadline" or "depth"), if any: a cut search that found no plan does
+    not show that none exists.
     """
     if not catalog:
         raise EmptyCatalogError("no functions")
-    closure = catalog_closure(catalog)
-    bound = _state_bound(closure)
     weak = _weak_gate(query)
-    plans, stats = _weak_plans(closure, query, weak, 1, deadline)
+    plans = _weak_plans(catalog_closure(catalog), query, weak, 1, deadline)
     if not plans:
-        return FindResult(None, stats.states_visited, bound, stats.cause)
+        return plans
     views = minimize_views(plans[0], weak)
-    hit = PlanHit(chain_plan(views, query.constant), views, _shape_of(views, query))
-    return FindResult(hit, stats.states_visited, bound)
+    return Hits([_weak_hit(views, query)], None, plans.states_visited)
 
 
-def _shape_of(views: Sequence[SubFunction], query: AtomicQuery) -> str:
-    """Shape of a weakly smart call sequence: "bounded" when its skeleton
-    is, else "loose"."""
-    return "bounded" if is_bounded(_concat_skeleton(views), query) is not None else "loose"
+def _weak_hit(views: tuple, query: AtomicQuery) -> Hit:
+    """The weak hit of a call sequence: "bounded" when its skeleton is,
+    else "loose"."""
+    kind = "bounded" if is_bounded(_concat_skeleton(views), query) is not None else "loose"
+    return Hit(chain_plan(views, query.constant), views, kind)
 
 
 def _may_be_weak(head: tuple, last, query: AtomicQuery) -> bool:
@@ -1258,19 +1249,15 @@ class BoundEstimate:
     factorial_digits: int
 
 
-def _state_bound(closure: Sequence[SubFunction]) -> int:
-    """|closure|^(2k), k the longest view: an estimate of the search's
-    state count, not a proved bound."""
-    return len(closure) ** (2 * max(len(v) for v in closure))
-
-
 def bound_estimate(catalog: Sequence[PathFunction]) -> BoundEstimate:
-    """M = |closure|^(2k) and the digit count of M!, never materialized."""
+    """M = |closure|^(2k), k the longest view, and the digit count of M!,
+    never materialized.  M estimates the search's state count; it is not a
+    proved bound."""
     if not catalog:
         return BoundEstimate(0, 0, 0)
     closure = catalog_closure(catalog)
     k = max(len(v) for v in closure)
-    m = _state_bound(closure)
+    m = len(closure) ** (2 * k)
     if m <= 1:
         digits = 1
     elif m < 10**15:
@@ -1285,13 +1272,6 @@ def bound_estimate(catalog: Sequence[PathFunction]) -> BoundEstimate:
 
 
 # -- smart plans ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmartHit:
-    plan: ExecutionPlan
-    views: tuple
-    kind: str  # "trivial" | "terminal" | "inverse-terminal" | "appended-inverse"
 
 
 def _two_output_able(view: SubFunction) -> bool:
@@ -1453,11 +1433,11 @@ def enumerate_minimal_smart(
         kind = _smartable(views, query, bounded)
         if kind is None:
             return None
-        return SmartHit(_smart_plan(views, kind, query.constant), views, kind)
+        return Hit(_smart_plan(views, kind, query.constant), views, kind)
 
     hits = _minimal_filter(unique.values(), weaken=True, hit=hit)
     hits.sort(key=lambda h: (tuple(v.name for v in h.views), h.kind))
-    return Hits(hits, searcher.stats.cause)
+    return Hits(hits, searcher.results.cause, searcher.results.states_visited)
 
 
 def smart_plan_exists(
@@ -1497,11 +1477,12 @@ def smart_plan_exists(
     return bool(searcher.results)
 
 
-def susie_plans(query: AtomicQuery, catalog: Sequence[PathFunction]) -> List[SmartHit]:
+def susie_plans(query: AtomicQuery, catalog: Sequence[PathFunction]) -> Hits:
     """Plans of shape F.F^-.query: a forward chain retraced by one final call.
 
     Every such plan is smart; the final call must expose the variable before
     its last one so the filter can be placed (or be the bare query atom).
+    No state search runs and nothing cuts it, so ``cause`` is None.
     """
     closure = catalog_closure(catalog)
     rel = query.relation
@@ -1513,13 +1494,13 @@ def susie_plans(query: AtomicQuery, catalog: Sequence[PathFunction]) -> List[Sma
         if len(sk) == 1:
             key = (f.key,)
             if key not in out:
-                out[key] = SmartHit(chain_plan((f,), query.constant), (f,), "trivial")
+                out[key] = Hit(chain_plan((f,), query.constant), (f,), "trivial")
             continue
         if not _two_output_able(f):
             continue
         target = tuple(a.invert() for a in reversed(sk[:-1]))
         _susie_extend(closure, target, f, query.constant, (), 0, out)
-    return sorted(out.values(), key=lambda h: tuple(v.name for v in h.views))
+    return Hits(sorted(out.values(), key=lambda h: tuple(v.name for v in h.views)))
 
 
 def _susie_extend(closure, target, f, constant, prefix: tuple, covered: int, out: dict):
@@ -1530,7 +1511,7 @@ def _susie_extend(closure, target, f, constant, prefix: tuple, covered: int, out
         views = prefix + (f,)
         key = tuple(v.key for v in views)
         if key not in out:
-            out[key] = SmartHit(_smart_plan(views, "terminal", constant), views, "terminal")
+            out[key] = Hit(_smart_plan(views, "terminal", constant), views, "terminal")
         return
     for w in closure:
         wsk = w.skeleton

@@ -117,8 +117,7 @@ def answered_fractions(
             elif approach == "smart":
                 answered = smart_plan_exists(query, catalog, deadline)
             else:
-                result = find_one_weakly_smart(query, catalog, deadline=deadline)
-                answered = result.hit is not None
+                answered = bool(find_one_weakly_smart(query, catalog, deadline=deadline))
             elapsed = (time.monotonic() - start) * 1000.0
             if elapsed > timeout_ms:
                 timeouts += 1

@@ -18,6 +18,7 @@ from pathplan import (
     ExecutionPlan,
     PathFunction,
     SubFunction,
+    bound_estimate,
     catalog_closure,
     chain_plan,
     call_function,
@@ -430,6 +431,6 @@ def test_criterion_9_single_plan_state_bound():
             query = AtomicQuery(Atom(base, trial % 2 == 0), "a")
             result = find_one_weakly_smart(query, cat)
             checked += 1
-            assert result.states_visited <= result.state_bound
+            assert result.states_visited <= bound_estimate(cat).state_bound
     elapsed = time.monotonic() - start
     print(f"\n{PASS} 9 (state bound respected on {checked} searches, {elapsed:.1f} s)")

@@ -109,7 +109,7 @@ def test_enumerate_fig1():
     hits = enumerate_minimal_weakly_smart(jobtitle_query(), fig1_catalog())
     assert len(hits) == 1
     assert [v.name for v in hits[0].views] == ["getCompany", "getHierarchy"]
-    assert hits[0].shape == "bounded"
+    assert hits[0].kind == "bounded"
 
 
 def test_enumerate_trivial_function():
@@ -188,7 +188,7 @@ def test_find_one_respects_state_bound():
         cat = gen_catalog(SynthConfig(3, 5, 3, seed=seed + 900))
         q = AtomicQuery(Atom("r1"), "a")
         result = find_one_weakly_smart(q, cat)
-        assert result.states_visited <= result.state_bound
+        assert result.states_visited <= bound_estimate(cat).state_bound
 
 
 def test_smart_fig1():
@@ -286,8 +286,7 @@ def test_bound_estimate():
 def test_bound_estimate_counts_closure():
     # getHierarchy has two outputs, so the closure holds four views.
     est = bound_estimate(fig1_catalog())
-    result = find_one_weakly_smart(jobtitle_query(), fig1_catalog())
-    assert est.state_bound == result.state_bound == 256
+    assert est.state_bound == 256
 
 
 def test_engine_matches_brute_force_small():
@@ -533,11 +532,8 @@ def test_multi_output_7_smart_states_pinned():
     # before the search dropped paths whose walk stretches cannot chain.
     cat = _multi_output_catalog(7)
     q = AtomicQuery(Atom("r1"), "a")
-    searcher = _Searcher(catalog_closure(cat), q)
-    searcher.run()
-    assert (searcher.stats.states_visited, searcher.stats.cause) == (611, None)
     hits = enumerate_minimal_smart(q, cat)
-    assert hits.cause is None and len(hits) == 2
+    assert (hits.states_visited, hits.cause, len(hits)) == (611, None, 2)
 
 
 def test_late_templates_stretch_forward():
@@ -748,9 +744,10 @@ def test_find_one_state_counts_pinned():
     # state reached on two paths counts twice: the item-1 sum was 430 while
     # find-one shared one visited set across paths.  A path is dropped once
     # its walk stretches can no longer chain: the item-1 sum was 564 before.
-    def visited(catalogs):
+    # The enumerations report their searches' state counts in `Hits` too.
+    def visited(catalogs, search=find_one_weakly_smart):
         return sum(
-            find_one_weakly_smart(q, cat).states_visited
+            search(q, cat).states_visited
             for cat in catalogs
             for q in _oriented_queries(cat)
         )
@@ -759,6 +756,11 @@ def test_find_one_state_counts_pinned():
     assert sum(len(_oriented_queries(cat)) for cat in item1) == 288
     assert visited(item1) == 362
     assert visited(gen_catalog(SynthConfig(4, 30, 3, seed=s)) for s in range(4)) == 103
+    assert visited(item1, enumerate_minimal_weakly_smart) == 2692
+    assert visited(item1, enumerate_minimal_smart) == 1013
+    multi = [_multi_output_catalog(seed) for seed in range(20)]
+    assert visited(multi, enumerate_minimal_weakly_smart) == 4580
+    assert visited(multi, enumerate_minimal_smart) == 14248
 
 
 def test_smart_enumeration_decides_only_survivors():
@@ -984,7 +986,7 @@ def test_plan_cap_sets_truncated():
     searcher = _Searcher(catalog_closure(cat), q, max_plans=1)
     searcher.run()
     assert len(searcher.results) == 1
-    assert searcher.stats.truncated
+    assert searcher.results.cause == "plan cap"
 
 
 def test_enumerations_report_their_cause():
@@ -998,8 +1000,10 @@ def test_enumerations_report_their_cause():
         assert len(full) == 2 and full.cause is None
         capped = enumerate_plans(q, cat, max_plans=1)
         assert capped == full[:1] and capped.cause == "plan cap"
+        assert capped.states_visited <= full.states_visited
         late = enumerate_plans(q, cat, deadline=time.monotonic() - 1.0)
         assert late == [] and late.cause == "deadline"
+        assert late.states_visited == 0
 
 
 def test_find_one_reports_truncation():
@@ -1009,10 +1013,10 @@ def test_find_one_reports_truncation():
     cat = gen_catalog(SynthConfig(4, 30, 3, seed=0))
     cut = find_one_weakly_smart(q, cat, deadline=time.monotonic() - 1.0)
     assert cut.hit is None and cut.states_visited == 0
-    assert cut.truncated and cut.cause == "deadline"
+    assert cut.cause == "deadline"
     full = find_one_weakly_smart(q, cat)
     assert [v.name for v in full.hit.views] == ["f13", "f11", "f3"]
-    assert not full.truncated and full.cause is None
+    assert full.cause is None
 
 
 # -- the per-closure template cache ---------------------------------------------
@@ -1023,7 +1027,7 @@ def _answers(q, cat, kinds=("weak", "smart", "one")):
     state count."""
     out = []
     if "weak" in kinds:
-        out += [(h.shape, serialize_plan(h.plan)) for h in enumerate_minimal_weakly_smart(q, cat)]
+        out += [(h.kind, serialize_plan(h.plan)) for h in enumerate_minimal_weakly_smart(q, cat)]
     if "smart" in kinds:
         out += [(h.kind, serialize_plan(h.plan)) for h in enumerate_minimal_smart(q, cat)]
     if "one" in kinds:
