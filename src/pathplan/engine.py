@@ -1275,7 +1275,9 @@ def bound_estimate(catalog: Sequence[PathFunction]) -> BoundEstimate:
 
 
 def _two_output_able(view: SubFunction) -> bool:
-    return len(view) >= 2 and (len(view) - 1) in view.bindable
+    # The position before the last lies within the prefix, so the parent's
+    # outputs decide whether the view binds it (``bindable``).
+    return len(view) >= 2 and (len(view) - 1) in view.parent.outputs
 
 
 def _is_tail(view: SubFunction, query: AtomicQuery) -> bool:

@@ -10,7 +10,7 @@ oriented relation atoms plus boundary positions for filters and the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class ModelError(Exception):
@@ -33,18 +33,34 @@ class MissingSubFunctionError(ModelError):
     """A required prefix view does not exist for the parent function."""
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """One oriented relation symbol; ``inverse`` flips subject and object."""
+class Atom(NamedTuple):
+    """One oriented relation symbol; ``inverse`` flips subject and object.
+
+    An atom is a tuple value equal to ``(base, inverse)``: it compares,
+    hashes and sorts as that plain tuple, all in C, since every layer
+    compares atoms.  No set or dict of this package mixes atoms with plain
+    tuples.  ``invert`` returns the one inverse kept per atom value.
+    """
 
     base: str
     inverse: bool = False
 
     def invert(self) -> "Atom":
-        return Atom(self.base, not self.inverse)
+        inverse = _INVERSES.get(self)
+        if inverse is None:
+            inverse = Atom(self.base, not self.inverse)
+            _INVERSES[self] = inverse
+            _INVERSES[inverse] = self
+        return inverse
 
     def __str__(self) -> str:
         return self.base + ("^-" if self.inverse else "")
+
+
+# Each atom's inverse, filled in pairs by ``Atom.invert``.  An entry follows
+# from its key alone, so what the memo holds never changes an answer; it
+# grows by two entries per relation name that a process inverts.
+_INVERSES: dict = {}
 
 
 Skeleton = tuple  # tuple[Atom, ...]
@@ -153,27 +169,29 @@ class PathFunction:
         return f"{self.name} = {skeleton_text(self.skeleton)} | out {' '.join(map(str, self.outputs))}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubFunction:
     """The prefix view of a parent function ending at one of its outputs.
 
     By convention the view is called for its last position (the chaining
     output); the parent's earlier output positions within the prefix remain
     available for binding, which smart plans use to place a filter.
+
+    A view is a value of ``(parent, prefix)``: equality, hash and repr read
+    those two fields alone.  Its ``skeleton``, the parent's first ``prefix``
+    atoms, is cut once at construction; copies and pickles carry it along.
     """
 
     parent: PathFunction
     prefix: int
+    skeleton: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.prefix not in self.parent.outputs:
             raise MissingSubFunctionError(
                 f"{self.parent.name} has no sub-function of length {self.prefix}"
             )
-
-    @property
-    def skeleton(self) -> tuple:
-        return self.parent.skeleton[: self.prefix]
+        object.__setattr__(self, "skeleton", self.parent.skeleton[: self.prefix])
 
     @property
     def bindable(self) -> tuple:

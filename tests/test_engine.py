@@ -807,6 +807,20 @@ def test_smartable_sequences_are_smart():
     assert smartable > 0
 
 
+def test_two_output_able_reads_bindable():
+    # `_two_output_able` reads the parent's outputs where `bindable` would
+    # be built; the two agree on every view of the item-1 and criterion-5
+    # corpora, whose closures have both answers.
+    catalogs = [_differential_catalog(t) for t in range(300)] + list(_no_existential_catalogs())
+    answers = {True: 0, False: 0}
+    for cat in catalogs:
+        for v in catalog_closure(cat):
+            able = engine._two_output_able(v)
+            assert able == (len(v) >= 2 and len(v) - 1 in v.bindable), v
+            answers[able] += 1
+    assert answers == {True: 2777, False: 5233}
+
+
 def test_may_be_smart_is_necessary():
     # Where no call of the closure can end a smart plan, no sequence of up
     # to three calls (two on large closures) has a smart shape whose core

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import types
 
 import pytest
 
@@ -107,6 +108,66 @@ def test_replaced_or_copied_function_gets_its_own_views():
     for h in (dataclasses.replace(f), copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert h == f and hash(h) == hash(f)
         assert all(v.parent is h for v in derive_sub_functions(h))
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class _DataclassAtom:
+    """The dataclass that ``Atom`` was: the reference for its value rules."""
+
+    base: str
+    inverse: bool = False
+
+
+def test_atom_is_its_tuple_value():
+    # An atom equals, hashes and sorts as the plain tuple (base, inverse),
+    # exactly as the frozen ordered dataclass it replaced did, so set and
+    # dict orders do not move under any hash seed.
+    atoms = [Atom(b, i) for b in ("r", "r1", "s", "worksFor") for i in (False, True)]
+    atoms.append(Atom(base="t", inverse=True))
+    for a in atoms:
+        old = _DataclassAtom(a.base, a.inverse)
+        assert hash(a) == hash((a.base, a.inverse)) == hash(old)
+        assert a == (a.base, a.inverse) and a == Atom(a.base, a.inverse)
+        assert a.invert() == Atom(a.base, not a.inverse) and a.invert().invert() == a
+        assert a.invert() is a.invert()
+        assert repr(a) == repr(old).replace("_DataclassAtom", "Atom")
+        assert str(a) == a.base + ("^-" if a.inverse else "")
+        for b in atoms:
+            other = _DataclassAtom(b.base, b.inverse)
+            assert (a == b, a != b, a < b, a <= b) == (old == other, old != other, old < other, old <= other)
+        for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(c) is Atom and c == a and hash(c) == hash(a) and repr(c) == repr(a)
+    assert sorted(reversed(atoms)) == sorted(atoms, key=lambda a: (a.base, a.inverse))
+    assert Atom("r") == Atom("r", False) and repr(Atom("r")) == "Atom(base='r', inverse=False)"
+
+
+def test_atom_compares_in_c():
+    # Every layer compares atoms; a Python ``__eq__`` or ``__hash__`` would
+    # cost one interpreter frame per comparison.
+    for name in ("__eq__", "__ne__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert not isinstance(getattr(Atom, name), types.FunctionType), name
+
+
+def test_view_keeps_its_skeleton():
+    # A view's skeleton is cut at construction and travels with replaced,
+    # copied and unpickled views; equality, hash and repr go by
+    # (parent, prefix) alone.
+    views = catalog_closure(fig1_catalog()) + catalog_closure(
+        [fn("f", [Atom("r"), Atom("s"), Atom("s", True)], (1, 2, 3))]
+    )
+    for v in views:
+        others = [dataclasses.replace(v, prefix=p) for p in v.parent.outputs]
+        copies = [copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))]
+        for w in [v] + others + copies:
+            assert w.skeleton == w.parent.skeleton[: w.prefix]
+            assert hash(w) == hash((w.parent, w.prefix))
+            assert repr(w) == f"SubFunction(parent={w.parent!r}, prefix={w.prefix!r})"
+            assert not hasattr(w, "__dict__")
+        assert all(c == v and hash(c) == hash(v) for c in copies)
+        assert [w == v for w in others] == [p == v.prefix for p in v.parent.outputs]
+        twin = SubFunction(v.parent, v.prefix)
+        object.__setattr__(twin, "skeleton", ())
+        assert twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
 
 
 def pi1(filtered=True):
