@@ -5,9 +5,11 @@ failed, 5 characterization and oracle disagree.  Usage errors include a path
 that cannot be read or written, query text that is not ``NAME`` or
 ``NAME^-``, ``--max-plans``, ``--budget`` or ``--step`` below 1,
 ``--timeout`` below 0 and ``--timeout-ms`` at or below 0; a parse error
-names the file that does not parse.  A ``plans`` search cut short by its
-deadline, depth or plan cap prints ``note: search truncated (CAUSE)`` on
-stderr and keeps its exit code.
+names the file that does not parse.  A ``check`` plan that parses but has
+no semantics, such as one whose call does not read an output of the call
+before it, is a usage error that names the plan file too.  A ``plans``
+search cut short by its deadline, depth or plan cap prints ``note: search
+truncated (CAUSE)`` on stderr and keeps its exit code.
 
 In-process ``main`` calls share one argparse parser and reuse the parsed
 catalog of unchanged ``--functions`` text (see ``_load_catalog``).
@@ -23,7 +25,7 @@ from collections import OrderedDict
 from typing import List, Optional
 
 from . import characterize, dsl, engine, evaluate, synth
-from .model import Atom, AtomicQuery
+from .model import Atom, AtomicQuery, ModelError, plan_semantics
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,14 +124,20 @@ def _cmd_check(args) -> int:
     plan = _parse(args.plan, dsl.parse_plan, _read(args.plan), list(doc))
     if plan.constant != query.constant:
         query = AtomicQuery(query.relation, plan.constant)
-    if args.level == "weak":
-        verdict = characterize.is_weakly_smart(plan, query)
-        passed = verdict
-        label = "weakly smart" if verdict else "not weakly smart"
-    else:
-        verdict = characterize.is_smart(plan, query)
-        passed = verdict.level == characterize.SMART
-        label = verdict.level
+    try:
+        # Both levels and the oracles reject a plan that is not chained,
+        # also in a trailing call that the weak level would drop.
+        plan_semantics(plan)
+        if args.level == "weak":
+            verdict = characterize.is_weakly_smart(plan, query)
+            passed = verdict
+            label = "weakly smart" if verdict else "not weakly smart"
+        else:
+            verdict = characterize.is_smart(plan, query)
+            passed = verdict.level == characterize.SMART
+            label = verdict.level
+    except ModelError as exc:
+        raise dsl.ParseError(f"{args.plan}: {exc}") from exc
     print(f"check: {label}")
     if args.oracle:
         if args.level == "weak":

@@ -53,9 +53,15 @@ OPTIONAL_EDGE = "optional-edge"
 NULL = None
 
 
-@dataclass(frozen=True)
-class Fact:
-    """One binary fact, always stored in forward orientation."""
+class Fact(NamedTuple):
+    """One binary fact, always stored in forward orientation.
+
+    A fact is a tuple value equal to ``(relation, subject, object)``: it
+    builds, compares and hashes as that plain tuple, all in C, as ``Atom``
+    does, so its hash, and with it the order of ``Instance.facts``, is that
+    of the frozen dataclass it replaced.  No set or dict of this package
+    mixes facts with plain tuples.
+    """
 
     relation: str
     subject: str

@@ -392,7 +392,10 @@ def reduce_plan(plan: ExecutionPlan) -> ExecutionPlan:
 
     Filter-stripping can orphan a plan's tail; under optional edge semantics
     those calls contribute nothing, so the constraint-free core omits them.
+    A plan whose last call has a used output is returned itself.
     """
+    if plan.calls and _used_positions(plan)[-1]:
+        return plan
     calls = list(plan.calls)
     while calls:
         trimmed = ExecutionPlan(tuple(calls), plan.filters, plan.output)
@@ -407,8 +410,15 @@ def sub_function_transformation(plan: ExecutionPlan) -> ExecutionPlan:
 
     Preserves the plan output and, under optional edge semantics, the plan's
     smartness.  Prefix views are derived from the call's parent function.
+    A plan in which every call uses all its bound positions and its view
+    ends at the last of them is returned itself.
     """
     used = _used_positions(plan)
+    if all(
+        u and u == call.bind and u[-1] == call.view.prefix
+        for call, u in zip(plan.calls, used)
+    ):
+        return plan
     new_calls = []
     for call, u in zip(plan.calls, used):
         if not u:

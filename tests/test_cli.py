@@ -159,6 +159,36 @@ def test_check_weak_oracle_constant_named_like_fresh_one(tmp_path, capsys):
         assert code == 4, (constant, out)
 
 
+def test_check_plan_that_is_not_chained_is_usage_error(tmp_path, capsys):
+    # Plans that parse but have no semantics: a call that reads the
+    # constant again (so the first call's output is unused), a third call
+    # that reads an output of the first, and a trailing call that reads the
+    # constant, which the weak level would otherwise drop unread.
+    plans = {
+        "reread": ("call getCompany(a -> v0)\ncall getCompany(a -> v1)\noutput v1\n", 1, "a", 0),
+        "skip": (
+            "call getCompany(a -> v0)\ncall getHierarchy(v0 -> v1, v2)\n"
+            "call getCompany(v0 -> v3)\noutput v3\n",
+            2, "v0", 1,
+        ),
+        "tail": ("call getCompany(a -> v0)\ncall getCompany(a -> v1)\noutput v0\n", 1, "a", 0),
+    }
+    for name, (text, call, source, previous) in plans.items():
+        path = tmp_path / f"{name}.plan"
+        path.write_text(text)
+        for level in ("weak", "smart"):
+            for oracle in ([], ["--oracle"]):
+                argv = ["check", "--functions", demo("fig1.cat"), "--plan", str(path),
+                        "--query", "worksFor", "--level", level] + oracle
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "", argv
+                assert captured.err == (
+                    f"error: {path}: call {call} input {source!r} is not an output"
+                    f" of call {previous}\n"
+                ), argv
+
+
 def test_eval_pi1(capsys):
     code, out = run(
         capsys, "eval", "--functions", demo("fig1.cat"), "--instance", demo("fig1.inst"),

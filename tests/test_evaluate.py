@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import pickle
 import random
+import types
 
 from pathplan import (
     Atom,
@@ -48,6 +51,48 @@ FIG1_INSTANCE = Instance(
         Fact("graduatedFrom", "Anna", "Oxford"),
     ]
 )
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassFact:
+    """The dataclass that ``Fact`` was: the reference for its value rules."""
+
+    relation: str
+    subject: str
+    object: str
+
+    def __str__(self) -> str:
+        return f"{self.relation}({self.subject}, {self.object})"
+
+
+def test_fact_is_its_tuple_value():
+    # A fact equals and hashes as the plain tuple (relation, subject,
+    # object), exactly as the frozen dataclass it replaced did, so the
+    # order of ``Instance.facts`` does not move under any hash seed.
+    facts = [Fact(r, s, o) for r in ("r", "worksFor") for s in ("a", "c0") for o in ("a", "c1")]
+    facts.append(Fact(relation="s", subject="b", object="b"))
+    for f in facts:
+        old = _DataclassFact(f.relation, f.subject, f.object)
+        assert hash(f) == hash((f.relation, f.subject, f.object)) == hash(old)
+        assert f == (f.relation, f.subject, f.object) and f == Fact(*f)
+        assert str(f) == str(old) == f"{f.relation}({f.subject}, {f.object})"
+        assert repr(f) == repr(old).replace("_DataclassFact", "Fact")
+        for g in facts:
+            other = _DataclassFact(g.relation, g.subject, g.object)
+            assert (f == g, f != g) == (old == other, old != other)
+        for c in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(c) is Fact and c == f and hash(c) == hash(f) and repr(c) == repr(f)
+    olds = frozenset(_DataclassFact(f.relation, f.subject, f.object) for f in facts)
+    assert [tuple(f) for f in Instance(facts).facts] == [
+        (o.relation, o.subject, o.object) for o in olds
+    ]
+
+
+def test_fact_compares_in_c():
+    # Instances hash every fact they hold; a Python ``__eq__`` or
+    # ``__hash__`` would cost one interpreter frame per fact.
+    for name in ("__eq__", "__ne__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert not isinstance(getattr(Fact, name), types.FunctionType), name
 
 
 def test_eval_path_query_pi1():

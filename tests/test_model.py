@@ -22,9 +22,21 @@ from pathplan import (
     sub_function_transformation,
     validate_plan,
 )
-from pathplan.model import MultiPivotError, NotChainedError, reduce_plan, strip_filters
+from pathplan.engine import enumerate_minimal_smart, enumerate_minimal_weakly_smart
+from pathplan.model import (
+    MissingSubFunctionError,
+    ModelError,
+    MultiPivotError,
+    NotChainedError,
+    _used_positions,
+    constraint_free_core,
+    reduce_plan,
+    strip_filters,
+)
 from pathplan.evaluate import OPTIONAL_EDGE, Instance, Fact, eval_plan
 
+from test_acceptance import _chained_plan_cases, _filter_variants
+from test_engine import _differential_catalog, _oriented_queries
 from util import fig1_catalog, fn, jobtitle_query
 
 
@@ -233,6 +245,95 @@ def test_sub_function_transformation_fixpoint():
     plan = reduce_plan(plan)
     out = sub_function_transformation(plan)
     assert [c.view.key for c in out.calls] == [c.view.key for c in plan.calls]
+
+
+def _rebuilt_reduce_plan(plan):
+    """``reduce_plan`` as it was before it returned unchanged plans
+    themselves: it rebuilds the plan on every call.  The reference for the
+    rewrite tests."""
+    calls = list(plan.calls)
+    while calls:
+        trimmed = ExecutionPlan(tuple(calls), plan.filters, plan.output)
+        if _used_positions(trimmed)[-1]:
+            return trimmed
+        calls.pop()
+    raise ModelError("plan reduces to nothing: output is unbound")
+
+
+def _rebuilt_sub_function_transformation(plan):
+    """``sub_function_transformation`` as it was, rebuilding every call."""
+    new_calls = []
+    for call, u in zip(plan.calls, _used_positions(plan)):
+        if not u:
+            raise ModelError("redundant call: no output used (reduce_plan first)")
+        prefix = max(u)
+        if prefix not in call.view.parent.outputs:
+            raise MissingSubFunctionError(
+                f"{call.view.parent.name} lacks a prefix of length {prefix}"
+            )
+        view = SubFunction(call.view.parent, prefix)
+        keep = [(p, n) for p, n in zip(call.bind, call.outputs) if p in u]
+        new_calls.append(
+            FunctionCall(view, call.source, tuple(p for p, _ in keep), tuple(n for _, n in keep))
+        )
+    return ExecutionPlan(tuple(new_calls), plan.filters, plan.output)
+
+
+def _rebuilt_core(plan):
+    return _rebuilt_sub_function_transformation(_rebuilt_reduce_plan(strip_filters(plan)))
+
+
+def _outcome(rewrite, plan):
+    try:
+        return rewrite(plan)
+    except ModelError as exc:
+        return type(exc)
+
+
+def test_rewrites_match_the_full_rebuild():
+    # The rewrites return their input where the rebuild gives an equal plan,
+    # and otherwise the rebuild's plan or error: on every criterion-2 plan,
+    # every weak and smart plan of the item-1 corpus, each of these without
+    # its filters, a call whose view is longer than it needs, and plans
+    # that have no core (empty, an orphan middle call, an unbound output).
+    plans = [p for fns in _chained_plan_cases() for p in _filter_variants(fns)]
+    for t in range(300):
+        cat = _differential_catalog(t)
+        for q in _oriented_queries(cat):
+            plans += [h.plan for h in enumerate_minimal_weakly_smart(q, cat)]
+            plans += [h.plan for h in enumerate_minimal_smart(q, cat)]
+    # Stripped of their filters, some plans have outputs that nothing uses.
+    plans += [strip_filters(p) for p in plans if p.filters]
+    f, g = fn("f", [Atom("r"), Atom("s")], (1, 2)), fn("g", [Atom("s")])
+    x = FunctionCall(SubFunction(f, 2), "a", (1, 2), ("x", "y"))
+    orphan = FunctionCall(SubFunction(g, 1), "a", (1,), ("z",))
+    last = FunctionCall(SubFunction(g, 1), "y", (1,), ("w",))
+    empty = ExecutionPlan((), (), "x")
+    orphaned = ExecutionPlan((x, orphan, last), (), "w")
+    unbound = ExecutionPlan((x, last), (), "nope")
+    # A view that runs past the one position its call binds.
+    plans.append(ExecutionPlan((FunctionCall(SubFunction(f, 2), "a", (1,), ("x",)),), (), "x"))
+    rewrites = [
+        (reduce_plan, _rebuilt_reduce_plan),
+        (sub_function_transformation, _rebuilt_sub_function_transformation),
+        (constraint_free_core, _rebuilt_core),
+    ]
+    kept = [0, 0]
+    for plan in plans + [empty, orphaned, unbound]:
+        for i, (rewrite, rebuild) in enumerate(rewrites):
+            got, want = _outcome(rewrite, plan), _outcome(rebuild, plan)
+            assert got == want and type(got) is type(want), (rewrite.__name__, plan)
+            if i < 2 and not isinstance(want, type):
+                assert (got is plan) == (want == plan), (rewrite.__name__, plan)
+                kept[i] += got is plan
+    # Both rewrites keep some plans and rebuild others.
+    assert all(0 < k < len(plans) for k in kept), kept
+    outcomes = [[_outcome(r, p) for r, _ in rewrites] for p in (empty, orphaned, unbound)]
+    assert outcomes == [
+        [ModelError, empty, ModelError],
+        [orphaned, ModelError, ModelError],
+        [ModelError, ModelError, ModelError],
+    ]
 
 
 def test_transformation_preserves_evaluation():
