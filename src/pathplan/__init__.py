@@ -17,12 +17,9 @@ from .model import (
     SubFunction,
     catalog_closure,
     chain_plan,
-    derive_sub_functions,
     plan_semantics,
-    reverse_skeleton,
     skeleton_text,
     sub_function_transformation,
-    validate_plan,
 )
 from .characterize import (
     Verdict,

@@ -5,9 +5,9 @@ failed, 5 characterization and oracle disagree.  Usage errors include a path
 that cannot be read or written, query text that is not ``NAME`` or
 ``NAME^-``, ``--max-plans``, ``--budget`` or ``--step`` below 1,
 ``--timeout`` below 0 and ``--timeout-ms`` at or below 0; a parse error
-names the file that does not parse.  A ``check`` plan that parses but has
-no semantics, such as one whose call does not read an output of the call
-before it, is a usage error that names the plan file too.  A ``plans``
+names the file that does not parse.  A ``check`` or ``eval`` plan that
+has no semantics, such as one whose call does not read an output of the
+call before it, is a usage error that names the plan file too.  A ``plans``
 search cut short by its deadline, depth or plan cap prints ``note: search
 truncated (CAUSE)`` on stderr and keeps its exit code.
 
@@ -25,7 +25,7 @@ from collections import OrderedDict
 from typing import List, Optional
 
 from . import characterize, dsl, engine, evaluate, synth
-from .model import Atom, AtomicQuery, ModelError, plan_semantics
+from .model import Atom, AtomicQuery, ModelError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -125,9 +125,6 @@ def _cmd_check(args) -> int:
     if plan.constant != query.constant:
         query = AtomicQuery(query.relation, plan.constant)
     try:
-        # Both levels and the oracles reject a plan that is not chained,
-        # also in a trailing call that the weak level would drop.
-        plan_semantics(plan)
         if args.level == "weak":
             verdict = characterize.is_weakly_smart(plan, query)
             passed = verdict

@@ -9,7 +9,8 @@ Without an ``out`` clause only the last position is an output.  Instance
 files hold one ``rel(subj, obj)`` fact per line; inverse atoms are rejected
 there since facts are stored forward.  Plan files list calls, filters, and
 the output variable; ``NAME[k]`` names the length-k prefix view of NAME and
-``_`` skips an output position the call does not bind.
+``_`` skips an output position the call does not bind.  A plan that
+parses has a semantics (``model.plan_semantics``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .model import (
     MultiPivotError,
     PathFunction,
     SubFunction,
+    plan_semantics,
 )
 from .evaluate import Fact, Instance
 
@@ -273,4 +275,9 @@ def parse_plan(text: str, catalog: Sequence[PathFunction]) -> ExecutionPlan:
         raise ParseError("plan has no calls")
     if output is None:
         raise ParseError("plan has no output line")
-    return ExecutionPlan(tuple(calls), tuple(filters), output)
+    plan = ExecutionPlan(tuple(calls), tuple(filters), output)
+    try:
+        plan_semantics(plan)
+    except ModelError as exc:
+        raise ParseError(str(exc)) from exc
+    return plan

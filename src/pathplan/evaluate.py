@@ -208,11 +208,11 @@ def project_rows(result: CallResult, positions: Sequence[int]) -> frozenset:
 
 class _Call(NamedTuple):
     """One call of a compiled plan.  ``source`` is the row slot holding its
-    input (None when no earlier call binds it), ``carry`` the slots kept
-    past the call, and ``nulls`` the cells of a call that is not made."""
+    input, ``carry`` the slots kept past the call, and ``nulls`` the cells
+    of a call that is not made."""
 
     path: tuple
-    source: Optional[int]
+    source: int
     carry: tuple
     nulls: tuple
 
@@ -220,17 +220,17 @@ class _Call(NamedTuple):
 class _Compiled(NamedTuple):
     """A plan read once for evaluation: rows hold only the variables that a
     later call, a filter or the output reads.  ``output`` is the output's
-    slot in the final rows and ``filters`` the (slot, constant) pairs; both
-    are None where no call binds the variable."""
+    slot in the final rows and ``filters`` the (slot, constant) pairs."""
 
     constant: str
     calls: tuple
     optional: bool
-    output: Optional[int]
-    filters: Optional[tuple]
+    output: int
+    filters: tuple
 
 
 def _compile(plan: ExecutionPlan, mode: str) -> _Compiled:
+    """Compile a plan that has a semantics (``plan_semantics``)."""
     optional = _optional(mode)
     live = {plan.output, *(var for var, _ in plan.filters)}
     lives = []  # per call, the variables read after it
@@ -241,25 +241,15 @@ def _compile(plan: ExecutionPlan, mode: str) -> _Compiled:
     layout = [None]  # the first call's input constant; no variable is named None
     calls = []
     for i, (call, live) in enumerate(zip(plan.calls, lives)):
-        if i == 0:
-            source = 0
-        else:
-            source = layout.index(call.source) if call.source in layout else None
-        new = {}  # live outputs by position; a name bound twice keeps its last one
-        for p, name in zip(call.bind, call.outputs):
-            if name in live:
-                new.pop(name, None)
-                new[name] = p
+        source = layout.index(call.source) if i else 0
+        new = {name: p for p, name in zip(call.bind, call.outputs) if name in live}
         carry = tuple(j for j, name in enumerate(layout) if name in live and name not in new)
         path = _path(call.view.skeleton, tuple(new.values()))
         calls.append(_Call(path, source, carry, (NULL,) * len(new)))
         layout = [layout[j] for j in carry] + list(new)
-    filters = None
-    if all(var in layout for var, _ in plan.filters):
-        filters = tuple((layout.index(var), const) for var, const in plan.filters)
-    output = layout.index(plan.output) if plan.output in layout else None
-    constant = plan.calls[0].source if plan.calls else ""
-    return _Compiled(constant, tuple(calls), optional, output, filters)
+    filters = tuple((layout.index(var), const) for var, const in plan.filters)
+    output = layout.index(plan.output)
+    return _Compiled(plan.calls[0].source, tuple(calls), optional, output, filters)
 
 
 def _answers(compiled: _Compiled, instance: Instance) -> tuple:
@@ -273,7 +263,7 @@ def _answers(compiled: _Compiled, instance: Instance) -> tuple:
         cells_of = {}
         reached = set()
         for row in rows:
-            value = NULL if source is None else row[source]
+            value = row[source]
             cells = cells_of.get(value)
             if cells is None:
                 if value is NULL:
@@ -288,11 +278,9 @@ def _answers(compiled: _Compiled, instance: Instance) -> tuple:
                 reached |= cells
         rows = reached
     out, filters = compiled.output, compiled.filters
-    if out is None:
-        return set(), set()
     results = {row[out] for row in rows} - {NULL}
     if not filters:
-        return results, (set() if filters is None else results)
+        return results, results
     delivered = {row[out] for row in rows if all(row[j] == c for j, c in filters)} - {NULL}
     return results, delivered
 
@@ -307,8 +295,10 @@ def eval_plan(
 
     Filters never suppress calls; they select rows once all calls ran.  A
     null input means the downstream call is not made and its outputs stay
-    null on that row.  Null outputs are excluded from the result.
+    null on that row.  Null outputs are excluded from the result.  A plan
+    that has no semantics raises ``ModelError`` (see ``plan_semantics``).
     """
+    plan_semantics(plan)
     return _answers(_compile(plan, mode), instance)[1]
 
 

@@ -66,11 +66,6 @@ _INVERSES: dict = {}
 Skeleton = tuple  # tuple[Atom, ...]
 
 
-def reverse_skeleton(skeleton: Sequence[Atom]) -> tuple:
-    """r1...rn -> rn^-...r1^-; involutive."""
-    return tuple(a.invert() for a in reversed(skeleton))
-
-
 def skeleton_text(skeleton: Sequence[Atom]) -> str:
     return ".".join(str(a) for a in skeleton)
 
@@ -215,12 +210,6 @@ class SubFunction:
         return self.name
 
 
-def derive_sub_functions(fn: PathFunction) -> list:
-    """One prefix view per output position, ordered by prefix length: a
-    fresh list of the function's shared views."""
-    return list(fn._prefix_views())
-
-
 def catalog_closure(catalog: Iterable[PathFunction]) -> list:
     """All sub-functions of all catalog functions (the search vocabulary),
     as a fresh list of the functions' shared views."""
@@ -340,10 +329,7 @@ def plan_semantics(plan: ExecutionPlan) -> PathSemantics:
     prev_outputs: tuple = ()
     skeleton = []
     for i, call in enumerate(plan.calls):
-        if i == 0:
-            if call.source in positions:
-                raise NotChainedError("first call must take the query constant")
-        else:
+        if i > 0:
             if call.source not in prev_outputs:
                 raise NotChainedError(
                     f"call {i} input {call.source!r} is not an output of call {i - 1}"
@@ -444,33 +430,3 @@ def sub_function_transformation(plan: ExecutionPlan) -> ExecutionPlan:
 def constraint_free_core(plan: ExecutionPlan) -> ExecutionPlan:
     """Filter-free, reduced, sub-function-transformed version of a plan."""
     return sub_function_transformation(reduce_plan(strip_filters(plan)))
-
-
-def validate_plan(plan: ExecutionPlan, query: AtomicQuery) -> list:
-    """Structural violations; an empty list means non-redundant and chained."""
-    violations = []
-    if not plan.calls:
-        return ["EmptyPlan"]
-    if plan.calls[0].source != query.constant:
-        violations.append("NoInputA")
-    seen = set()
-    prev_outputs: tuple = ()
-    for i, call in enumerate(plan.calls):
-        if i > 0 and call.source not in prev_outputs:
-            violations.append(f"NotChained:{i}")
-        for name in call.outputs:
-            if name in seen:
-                violations.append(f"DuplicateVariable:{name}")
-            seen.add(name)
-        prev_outputs = call.outputs
-    for i, u in enumerate(_used_positions(plan)):
-        if not u:
-            violations.append(f"OrphanCall:{i}")
-    if plan.output not in seen:
-        violations.append("BadOutput")
-    for var, const in plan.filters:
-        if var not in seen:
-            violations.append(f"UnknownFilterVariable:{var}")
-        if const != query.constant:
-            violations.append(f"FilterConstant:{var}")
-    return violations

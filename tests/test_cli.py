@@ -162,31 +162,49 @@ def test_check_weak_oracle_constant_named_like_fresh_one(tmp_path, capsys):
 def test_check_plan_that_is_not_chained_is_usage_error(tmp_path, capsys):
     # Plans that parse but have no semantics: a call that reads the
     # constant again (so the first call's output is unused), a third call
-    # that reads an output of the first, and a trailing call that reads the
-    # constant, which the weak level would otherwise drop unread.
+    # that reads an output of the first, a trailing call that reads the
+    # constant, which the weak level would otherwise drop unread, and an
+    # output or a filter on a variable that no call binds.  `check` at
+    # both levels and `eval` reject each of them the same way.
     plans = {
-        "reread": ("call getCompany(a -> v0)\ncall getCompany(a -> v1)\noutput v1\n", 1, "a", 0),
+        "reread": (
+            "call getCompany(a -> v0)\ncall getCompany(a -> v1)\noutput v1\n",
+            "call 1 input 'a' is not an output of call 0",
+        ),
         "skip": (
             "call getCompany(a -> v0)\ncall getHierarchy(v0 -> v1, v2)\n"
             "call getCompany(v0 -> v3)\noutput v3\n",
-            2, "v0", 1,
+            "call 2 input 'v0' is not an output of call 1",
         ),
-        "tail": ("call getCompany(a -> v0)\ncall getCompany(a -> v1)\noutput v0\n", 1, "a", 0),
+        "tail": (
+            "call getCompany(a -> v0)\ncall getCompany(a -> v1)\noutput v0\n",
+            "call 1 input 'a' is not an output of call 0",
+        ),
+        "output": (
+            "call getCompany(a -> v0)\noutput v9\n",
+            "output 'v9' is not bound by any call",
+        ),
+        "filter": (
+            "call getCompany(a -> v0)\nfilter v9 = a\noutput v0\n",
+            "filter variable 'v9' is not bound by any call",
+        ),
     }
-    for name, (text, call, source, previous) in plans.items():
+    for name, (text, message) in plans.items():
         path = tmp_path / f"{name}.plan"
         path.write_text(text)
-        for level in ("weak", "smart"):
-            for oracle in ([], ["--oracle"]):
-                argv = ["check", "--functions", demo("fig1.cat"), "--plan", str(path),
-                        "--query", "worksFor", "--level", level] + oracle
-                assert main(argv) == 2, argv
-                captured = capsys.readouterr()
-                assert captured.out == "", argv
-                assert captured.err == (
-                    f"error: {path}: call {call} input {source!r} is not an output"
-                    f" of call {previous}\n"
-                ), argv
+        runs = [
+            ["check", "--functions", demo("fig1.cat"), "--plan", str(path),
+             "--query", "worksFor", "--level", level] + oracle
+            for level in ("weak", "smart")
+            for oracle in ([], ["--oracle"])
+        ]
+        runs.append(["eval", "--functions", demo("fig1.cat"), "--instance",
+                     demo("fig1.inst"), "--plan", str(path)])
+        for argv in runs:
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err == f"error: {path}: {message}\n", argv
 
 
 def test_eval_pi1(capsys):

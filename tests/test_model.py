@@ -15,12 +15,9 @@ from pathplan import (
     SubFunction,
     catalog_closure,
     chain_plan,
-    derive_sub_functions,
     plan_semantics,
-    reverse_skeleton,
     skeleton_text,
     sub_function_transformation,
-    validate_plan,
 )
 from pathplan.engine import enumerate_minimal_smart, enumerate_minimal_weakly_smart
 from pathplan.model import (
@@ -37,7 +34,7 @@ from pathplan.evaluate import OPTIONAL_EDGE, Instance, Fact, eval_plan
 
 from test_acceptance import _chained_plan_cases, _filter_variants
 from test_engine import _differential_catalog, _oriented_queries
-from util import fig1_catalog, fn, jobtitle_query
+from util import fig1_catalog, fn
 
 
 def test_invert_is_involution():
@@ -45,19 +42,6 @@ def test_invert_is_involution():
     assert a.invert() == Atom("worksFor", True)
     assert a.invert().invert() == a
     assert str(a.invert()) == "worksFor^-"
-
-
-def test_reverse_skeleton():
-    u, s, t = Atom("u"), Atom("s"), Atom("t")
-    assert reverse_skeleton((u, s, t)) == (t.invert(), s.invert(), u.invert())
-    rng = random.Random(7)
-    names = ["a", "b", "c", "d"]
-    for _ in range(1000):
-        sk = tuple(
-            Atom(rng.choice(names), rng.random() < 0.5)
-            for _ in range(rng.randint(0, 10))
-        )
-        assert reverse_skeleton(reverse_skeleton(sk)) == sk
 
 
 def test_empty_body_rejected():
@@ -74,19 +58,19 @@ def test_multi_pivot_rejected():
 def test_derive_sub_functions_company_info():
     worksAt, locatedIn = Atom("worksAt"), Atom("locatedIn")
     f = fn("getCompanyInfo", [worksAt, locatedIn], (1, 2))
-    subs = derive_sub_functions(f)
+    subs = catalog_closure([f])
     assert [s.skeleton for s in subs] == [(worksAt,), (worksAt, locatedIn)]
 
 
 def test_derive_sub_functions_single_output():
     f = fn("f", [Atom("p"), Atom("q")])
-    subs = derive_sub_functions(f)
+    subs = catalog_closure([f])
     assert len(subs) == 1 and subs[0].skeleton == f.skeleton
 
 
 def test_derive_sub_functions_prefix_ordered():
     getHierarchy = fig1_catalog()[1]
-    subs = derive_sub_functions(getHierarchy)
+    subs = catalog_closure([getHierarchy])
     assert [s.skeleton for s in subs] == [
         (Atom("worksFor", True),),
         (Atom("worksFor", True), Atom("jobTitle")),
@@ -105,21 +89,21 @@ def test_closure_shares_each_functions_views():
     first.clear()
     assert catalog_closure(catalog) == second
     for f in catalog:
-        views = derive_sub_functions(f)
+        views = catalog_closure([f])
         assert views == [SubFunction(f, p) for p in f.outputs]
-        assert all(a is b for a, b in zip(views, derive_sub_functions(f)))
+        assert all(a is b for a, b in zip(views, catalog_closure([f])))
 
 
 def test_replaced_or_copied_function_gets_its_own_views():
     # With both caches of f filled, a replaced, copied or unpickled
     # function still hashes equal and names itself in its views.
     f = fig1_catalog()[1]
-    hash(f), derive_sub_functions(f)
+    hash(f), catalog_closure([f])
     g = dataclasses.replace(f, name="other")
-    assert all(v.parent is g for v in derive_sub_functions(g))
+    assert all(v.parent is g for v in catalog_closure([g]))
     for h in (dataclasses.replace(f), copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert h == f and hash(h) == hash(f)
-        assert all(v.parent is h for v in derive_sub_functions(h))
+        assert all(v.parent is h for v in catalog_closure([h]))
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -360,24 +344,3 @@ def test_transformation_preserves_evaluation():
         assert eval_plan(plan, query, inst, OPTIONAL_EDGE) == eval_plan(
             transformed, query, inst, OPTIONAL_EDGE
         )
-
-
-def test_validate_plan_clean():
-    assert validate_plan(pi1(), jobtitle_query()) == []
-
-
-def test_validate_plan_wrong_constant():
-    plan = pi1()
-    violations = validate_plan(plan, AtomicQuery(Atom("jobTitle"), "b"))
-    assert "NoInputA" in violations
-
-
-def test_validate_plan_orphan_call():
-    cat = fig1_catalog()
-    calls = (
-        FunctionCall(SubFunction(cat[0], 1), "a", (1,), ("v0",)),
-        FunctionCall(SubFunction(cat[2], 1), "v0", (1,), ("v1",)),
-    )
-    plan = ExecutionPlan(calls, (), "v0")
-    violations = validate_plan(plan, jobtitle_query())
-    assert any(v.startswith("OrphanCall") for v in violations)
