@@ -138,8 +138,12 @@ def is_weakly_smart(plan: ExecutionPlan, query: AtomicQuery) -> bool:
     The filtered semantics is evaluated on the canonical database of its
     own skeleton: filters survive there exactly when they sit on boundaries
     pinned to the input constant, which is what holds on every instance.
+    A plan that the rewrites change is checked as given first, since they
+    may drop the calls or outputs that leave it with no semantics.
     """
     kept = sub_function_transformation(reduce_plan(plan))
+    if kept is not plan:
+        plan_semantics(plan)
     return weakly_smart_semantics(plan_semantics(kept), query)
 
 

@@ -63,17 +63,17 @@ read off its last call (``_smart_shape``), and a bounded core ends with the
 query atom.  Before any search, one pass over the closure checks that such
 a last call can exist (``_may_be_smart``): a ``(rel)`` view, a two-output
 view ending with ``rel`` or ``rel.rel^-``, or a ``(rel^-)`` view together
-with a view ending with ``rel``.  Where none does, no search runs.  Smart
-enumeration and ``smart_plan_exists`` otherwise run the weak search's two
-seed modes and close each core by one rule (``_closings``): the core
-itself, the core and a tail call, or the core whose last call ``g`` gives
-way to the view of ``g``'s parent one ``rel^-`` atom longer.  No seed mode
-of its own is needed for the last two shapes.  A final call running past
-the query atom to ``rel^-`` descends over the same atoms as the bounded
-bottom of that shorter view, so the swap finds its plans.  A walk to
-position 1 closed by a ``(rel, rel^-)`` call is never minimal: the ``(rel)``
-view of that call's parent is a smart plan that embeds into it.
-Existence and find-one stop the same search at its first gated result.
+with a view ending with ``rel``.  Where none does, no search runs.
+Otherwise every candidate closes a bounded call sequence by one rule
+(``_closings``): a ``terminal`` sequence is its own core, bounded whole,
+whether or not it ends with a ``(rel^-, rel)`` tail call; an
+``appended-inverse`` one is a bounded core and a ``(rel^-)`` tail call; an
+``inverse-terminal`` one is a bounded core whose last call ``g`` gives way
+to the view of ``g``'s parent one ``rel^-`` atom longer.  A bounded
+sequence's walk ends at position 0, as do those of the weak search's
+bounded seed mode, so smart enumeration and ``smart_plan_exists`` run that
+mode alone: the loose mode's walks end at position 1.  Existence and
+find-one stop their search at its first gated result.
 
 Both enumerations keep the candidates that no smaller accepted plan embeds,
 visited shortest first (``_minimal_filter``).  That filter is the only
@@ -577,15 +577,13 @@ _WALK_END = {"bounded": 0, "loose": 1}
 class _Searcher:
     """One depth-first run over all seeds for a fixed query and closure.
 
-    The seeds come in two modes, ``bounded`` and ``loose``, and each seed
-    carries where its walk ends (``_WALK_END``): the run keeps that end on
-    the searcher while it searches the seed, and ``_assemble`` chains the
-    walk to it.  Each result is a call sequence that passes ``emit_gate``,
-    if one is given.  Smart plans need no mode of their own: they close the
-    results of these two (``_closings``).  A final call running past the
-    query atom to ``rel^-`` descends like a bounded bottom (``_bottoms``),
-    and a walk to position 1 closed by a ``(rel, rel^-)`` call is never
-    minimal, since that call's parent has a ``(rel)`` view.
+    The seeds come in the run's ``modes``, by default both of
+    ``_WALK_END``, ``bounded`` and ``loose``, and each seed carries where
+    its walk ends: the run keeps that end on the searcher while it searches
+    the seed, and ``_assemble`` chains the walk to it.  Each result is a
+    call sequence that passes ``emit_gate``, if one is given.  The smart
+    paths run the bounded mode alone, since every smart candidate closes a
+    bounded sequence (``_closings``).
 
     The run collects its results in ``results``, a ``Hits`` that also
     counts the states entered and names what cut the run, if anything; it
@@ -619,12 +617,14 @@ class _Searcher:
         max_plans: int = 10000,
         deadline: Optional[float] = None,
         emit_gate: Optional[Callable] = None,
+        modes: Sequence[str] = tuple(_WALK_END),
     ):
         self.closure = list(closure)
         self.query = query
         self.max_plans = max_plans
         self.deadline = deadline
         self.emit_gate = emit_gate
+        self.modes = modes
         self._path = set()  # the states on the current path
         self.results = Hits()  # call sequences, with the run's cause and state count
         self._tokens = None  # the current seed's search stamps its next calls from here
@@ -702,16 +702,15 @@ class _Searcher:
         # One-call extras: dives through the query atom and valleys.
         single_extras = [s for s in map(_structure, self._dip_calls()) if s is not None]
         single_extras += self._valleys.all
-        lead = [s for s in map(_structure, self._lead_calls()) if s is not None]
         # Seed-ordered candidates per atom the bottom emits, sorted once per
-        # run: the extras, led by None for no extra, and the designated
-        # options (the lead calls in loose mode).
+        # run: the extras, led by None for no extra, and per mode the
+        # designated options (the lead calls in loose mode).
         extras = {}
-        orders = {True: {}, False: {}}
-        for mode in _WALK_END:
-            loose = mode == "loose"
-            designated = lead if loose else self._designated.all
-            options = orders[loose]
+        for mode in self.modes:
+            designated = self._designated.all
+            if mode == "loose":
+                designated = [s for s in map(_structure, self._lead_calls()) if s is not None]
+            options = {}
             for bottom, crosses in self._bottoms(mode):
                 if bottom is None:
                     continue
@@ -774,10 +773,7 @@ class _Searcher:
         the bounded bottom of its parent's view one atom shorter, which is
         in the closure (the longer view is two-output) and has no turn
         bottom (its parent's pivot is at its end), so smart enumeration
-        swaps that view in afterwards (``_closings``).  Nor does a walk
-        ending at position 1 for a final ``(rel, rel^-)`` call: that call's
-        parent has an output at 1, and its ``(rel)`` view, a smart plan on
-        its own, embeds into every such plan.
+        swaps that view in afterwards (``_closings``).
         """
         return self._bounded_bottoms() if mode == "bounded" else self._loose_bottoms()
 
@@ -1401,14 +1397,11 @@ def enumerate_minimal_smart(
 
     When no call of the closure can end a smart plan (``_may_be_smart``),
     the answer is empty and no search runs.  Otherwise the cores are the
-    single calls and the results of the weak search's two seed modes, and
-    each core gives its candidates by one rule (``_closings``): itself, it
-    followed by a tail call, or it with its last call one ``rel^-`` atom
+    single calls and the results of the weak search's bounded seed mode,
+    and each core gives its candidates by one rule (``_closings``): itself,
+    it followed by a tail call, or it with its last call one ``rel^-`` atom
     longer.  A sequence has one shape, read off its last call
-    (``_smart_shape``).  No other final call needs a search of its own: one
-    running past the query atom is the longer view of a bounded core's last
-    call, and one closing a walk at position 1 as ``(rel, rel^-)`` has a
-    parent whose ``(rel)`` view is a smart plan that embeds into the walk.
+    (``_smart_shape``).
 
     Candidates are decided lazily: the minimality filter visits them
     shortest first, and only a sequence that no accepted plan embeds has
@@ -1420,7 +1413,7 @@ def enumerate_minimal_smart(
     closure = catalog_closure(catalog)
     if not _may_be_smart(closure, query):
         return Hits()
-    searcher = _Searcher(closure, query, max_plans=max_plans, deadline=deadline)
+    searcher = _Searcher(closure, query, max_plans=max_plans, deadline=deadline, modes=("bounded",))
     searcher.run()
     tails = [t for t in closure if _is_tail(t, query)]
     cores = [(v,) for v in closure] + searcher.results
@@ -1453,9 +1446,8 @@ def smart_plan_exists(
     smart plan (``_may_be_smart``) answers no, both in one cheap pass.
     Otherwise a core is accepted when one of its closings (``_closings``)
     has a shape (``_smart_shape``) with a bounded core: the single calls
-    first, then the first core the weak search accepts.  A walk closed by a
-    ``(rel, rel^-)`` call needs no search: that call's parent has a
-    ``(rel)`` view, which answers first.
+    first, then the first core that the weak search's bounded seed mode
+    accepts.
     """
     if not catalog:
         raise EmptyCatalogError("no functions")
@@ -1474,7 +1466,9 @@ def smart_plan_exists(
 
     if any(gate((v,)) for v in closure):
         return True
-    searcher = _Searcher(closure, query, max_plans=1, deadline=deadline, emit_gate=gate)
+    searcher = _Searcher(
+        closure, query, max_plans=1, deadline=deadline, emit_gate=gate, modes=("bounded",)
+    )
     searcher.run()
     return bool(searcher.results)
 

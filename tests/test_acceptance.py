@@ -368,13 +368,8 @@ def test_criterion_7_runtime_bound(sweeps):
     relations_sweep, _ = sweeps
     medians = [r.median_ms for r in relations_sweep.rows]
     assert max(medians) < 2000.0
-    total_queries = sum(
-        1 for r in relations_sweep.rows if r.approach == "weaklySmart"
-    )
     # Timeouts counted across every (query, approach) run of the sweep.
-    assert relations_sweep.timeouts == 0 or (
-        relations_sweep.timeouts / max(1, relations_sweep.query_count * 4) < 0.01
-    )
+    assert relations_sweep.timeouts == 0
     print(
         f"\n{PASS} 7 (median per-query search {max(medians):.1f} ms worst point,"
         f" {relations_sweep.timeouts} timeouts)"

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from pathplan import (
     Atom,
     AtomicQuery,
@@ -15,6 +17,7 @@ from pathplan import (
     is_weakly_smart,
     is_well_filtering,
     oracle_is_weakly_smart,
+    plan_semantics,
     weakly_smart_semantics,
     weakly_smart_skeleton,
 )
@@ -25,6 +28,7 @@ from pathplan.characterize import (
     _walk,
     is_loosely_bounded,
 )
+from pathplan.model import ModelError, NotChainedError
 
 from util import (
     fig1_catalog,
@@ -209,6 +213,42 @@ def test_is_weakly_smart_pi1_pi2():
     pi1, pi2 = _pi_plans()
     assert is_weakly_smart(pi1, q)
     assert not is_weakly_smart(pi2, q)
+
+
+def test_is_weakly_smart_checks_the_plan_it_is_given():
+    # Each plan has no semantics, and trimming or narrowing its calls
+    # would hide why: the second getCompany call does not read the first
+    # one's output, or x is bound twice.  Both deciders raise the error
+    # that `plan_semantics` raises on the plan as given.
+    company, hierarchy, _ = (SubFunction(f, len(f)) for f in fig1_catalog())
+    q = AtomicQuery(Atom("worksFor"), "Anna")
+
+    def call(view, source, *outputs):
+        return FunctionCall(view, source, tuple(range(1, len(view) + 1))[-len(outputs) :], outputs)
+
+    plans = [
+        ExecutionPlan((call(company, "Anna", "v0"), call(company, "Anna", "v1")), (), "v0"),
+        ExecutionPlan(
+            (
+                call(hierarchy, "Anna", "x", "v1"),
+                call(hierarchy, "v1", "x", "v2"),
+                call(company, "v2", "v3"),
+            ),
+            (),
+            "v3",
+        ),
+    ]
+    for plan, error in zip(plans, (NotChainedError, ModelError)):
+        with pytest.raises(error) as expected:
+            plan_semantics(plan)
+        for decide in (is_smart, is_weakly_smart):
+            with pytest.raises(ModelError) as raised:
+                decide(plan, q)
+            assert (type(raised.value), str(raised.value)) == (
+                type(expected.value),
+                str(expected.value),
+            ), (decide, plan)
+    assert str(expected.value) == "duplicate variable 'x'"
 
 
 def test_weakly_smart_semantics_matches_canonical_evaluation():

@@ -23,7 +23,7 @@ from pathplan import (
     oracle_is_weakly_smart,
     susie_plans,
 )
-from pathplan import characterize, engine
+from pathplan import characterize, engine, synth
 from pathplan.characterize import SMART, is_bounded, weakly_smart_skeleton
 from pathplan.dsl import parse_catalog, serialize_catalog, serialize_plan
 from pathplan.engine import (
@@ -527,13 +527,64 @@ def test_chain_prune_is_sound(monkeypatch):
     assert outputs() == pruned
 
 
+def test_smart_paths_need_only_the_bounded_mode(monkeypatch):
+    # Every smart candidate closes a bounded call sequence, so smart
+    # enumeration and existence search the bounded seed mode alone.  With
+    # the loose mode searched as well, smart enumeration gives the same hits
+    # (calls, kinds and plans) with the same cause, and existence the same
+    # answer.  The blow-up catalog's r1, r1^- and r2^- stop at the plan cap
+    # in both runs, within the bounded mode.
+    catalogs = [_differential_catalog(t) for t in range(0, 300, 5)]
+    catalogs += [_multi_output_catalog(seed) for seed in range(20)]
+    catalogs.append(list(parse_catalog(_BLOW_UP_CATALOG)))
+
+    def outputs():
+        found = []
+        for cat in catalogs:
+            for q in _oriented_queries(cat):
+                hits = enumerate_minimal_smart(q, cat)
+                plans = [(h.views, h.kind, serialize_plan(h.plan)) for h in hits]
+                found.append((hits.cause, plans, smart_plan_exists(q, cat)))
+        return found
+
+    bounded = outputs()
+    assert sum(len(plans) for _, plans, _ in bounded) == 148  # smart plans compared
+    assert [cause for cause, _, _ in bounded].count("plan cap") == 3
+
+    class TwoModes(_Searcher):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **{**kwargs, "modes": tuple(engine._WALK_END)})
+
+    monkeypatch.setattr(engine, "_Searcher", TwoModes)
+    assert outputs() == bounded
+
+
+def test_crit6_catalogs_have_no_smart_plan():
+    # The two criterion-6 sweep catalogs whose smart queries ran to a 3-s
+    # deadline while the smart paths searched the loose seed mode too: A's
+    # enumeration entered over 100000 states, and B's stopped at the plan
+    # cap after 52510.  The bounded mode alone answers a complete "no" at
+    # once.
+    cases = [
+        (SynthConfig(4, 30, 3, seed=synth._mix_seed(5, 4)), Atom("r1", True), 36),
+        (SynthConfig(6, 30, 3, seed=synth._mix_seed(15, 6)), Atom("r5", True), 0),
+    ]
+    for config, atom, states in cases:
+        cat = gen_catalog(config)
+        q = AtomicQuery(atom, "a")
+        hits = enumerate_minimal_smart(q, cat)
+        assert (len(hits), hits.cause, hits.states_visited) == (0, None, states)
+        assert not smart_plan_exists(q, cat)
+
+
 def test_multi_output_7_smart_states_pinned():
     # Smart enumeration for r1 here visited 971869 states, about 25 s,
-    # before the search dropped paths whose walk stretches cannot chain.
+    # before the search dropped paths whose walk stretches cannot chain,
+    # and 611 while it ran the loose seed mode too.
     cat = _multi_output_catalog(7)
     q = AtomicQuery(Atom("r1"), "a")
     hits = enumerate_minimal_smart(q, cat)
-    assert (hits.states_visited, hits.cause, len(hits)) == (611, None, 2)
+    assert (hits.states_visited, hits.cause, len(hits)) == (597, None, 2)
 
 
 def test_late_templates_stretch_forward():
@@ -580,7 +631,8 @@ def test_searched_paths_keep_their_top_above_the_scan(monkeypatch):
             enumerate_minimal_weakly_smart(q, cat)
             enumerate_minimal_smart(q, cat)
     assert all(states) and None not in chains
-    assert (len(states), len(chains)) == (61413, 8467)
+    # The weak runs search both seed modes, the smart runs the bounded one.
+    assert (len(states), len(chains)) == (39323, 5070)
 
 
 def test_member_hash_is_its_field_hash():
@@ -655,7 +707,8 @@ def test_seed_tokens_follow_stamp_order(monkeypatch):
         # Strictly increasing: unique, and the later calls' tokens are >= n.
         assert all(a is b for a, b in zip(recs, seed_recs)) and tokens[:n] == list(range(n))
         assert all(a < b for a, b in zip(tokens, tokens[1:]))
-    assert (len(paths), shared) == (3226, 1892)
+    # The weak runs search both seed modes, the smart runs the bounded one.
+    assert (len(paths), shared) == (1573, 1776)
 
 
 def test_capped_smart_enumeration_keeps_inverse_terminal_plans():
@@ -745,6 +798,8 @@ def test_find_one_state_counts_pinned():
     # find-one shared one visited set across paths.  A path is dropped once
     # its walk stretches can no longer chain: the item-1 sum was 564 before.
     # The enumerations report their searches' state counts in `Hits` too.
+    # Smart enumeration runs the bounded seed mode alone: its sums were 1013
+    # and 14248 with the loose mode.
     def visited(catalogs, search=find_one_weakly_smart):
         return sum(
             search(q, cat).states_visited
@@ -757,10 +812,10 @@ def test_find_one_state_counts_pinned():
     assert visited(item1) == 362
     assert visited(gen_catalog(SynthConfig(4, 30, 3, seed=s)) for s in range(4)) == 103
     assert visited(item1, enumerate_minimal_weakly_smart) == 2692
-    assert visited(item1, enumerate_minimal_smart) == 1013
+    assert visited(item1, enumerate_minimal_smart) == 456
     multi = [_multi_output_catalog(seed) for seed in range(20)]
     assert visited(multi, enumerate_minimal_weakly_smart) == 4580
-    assert visited(multi, enumerate_minimal_smart) == 14248
+    assert visited(multi, enumerate_minimal_smart) == 4604
 
 
 def test_smart_enumeration_decides_only_survivors():
