@@ -23,6 +23,7 @@ from .model import (
     Atom,
     AtomicQuery,
     ExecutionPlan,
+    ModelError,
     PathSemantics,
     constraint_free_core,
     plan_semantics,
@@ -138,10 +139,15 @@ def is_weakly_smart(plan: ExecutionPlan, query: AtomicQuery) -> bool:
     The filtered semantics is evaluated on the canonical database of its
     own skeleton: filters survive there exactly when they sit on boundaries
     pinned to the input constant, which is what holds on every instance.
-    A plan that the rewrites change is checked as given first, since they
-    may drop the calls or outputs that leave it with no semantics.
+    A plan that the rewrites change or refuse is checked as given first,
+    since they may drop or refuse the calls or outputs that leave it with
+    no semantics; so ``is_weakly_smart`` raises what ``is_smart`` raises.
     """
-    kept = sub_function_transformation(reduce_plan(plan))
+    try:
+        kept = sub_function_transformation(reduce_plan(plan))
+    except ModelError:
+        plan_semantics(plan)
+        raise
     if kept is not plan:
         plan_semantics(plan)
     return weakly_smart_semantics(plan_semantics(kept), query)

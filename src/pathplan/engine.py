@@ -26,10 +26,11 @@ position, so they are seeded explicitly rather than discovered mid-scan.
 Every structure that can join a state (an ender, beginner, valley or
 designated call, a beginner-ender pair, a seed extra) is a template:
 members without a token, plus the atom it emits on entry.  Each member is
-a window ``lo..hi`` of its view, keyed by it (``_piece``); two windows
-meeting at the view's pivot form a peak, a turn or a dip (``_peak``,
-``_turn``, ``_dip``), so a family of calls states only its guard and its
-stretch.  Each call says once, where it is built, how many atoms it adds
+a window ``lo..hi`` of its view, keyed by it (``_piece``); a call is one
+straight window (``_straight``) or two meeting at the view's pivot, a
+peak, a turn or a valley (``_peak``, ``_turn``, ``_valley``; a dip,
+``_dip``, is a valley without its two pivot atoms), so a family of calls
+states only its guard and its stretch.  Each call says once, where it is built, how many atoms it adds
 to the forward path and which stretch of the backward walk it covers, as
 offsets from the scan it enters at.  A state looks its candidates up by
 the atom its members emit next, in closure order, and runs every check on
@@ -52,10 +53,13 @@ for good.  A path whose closed position is off its balance, or whose
 stretches form a component that the scan closes, cannot assemble.
 
 The templates that follow from the closure alone (the ender, beginner,
-valley and designated tables and the beginner-ender pairs) are built once
-per closure value and shared by every query and seed mode on an equal
-closure, through a small LRU cache.  They hold no query, token or search
-state, so results never depend on what the cache holds.
+valley and designated tables and the beginner-ender pairs) are shared by
+every query and seed mode on an equal closure, through a small LRU cache.
+Each table buckets its call families by the atom they emit at entry, read
+off the view's skeleton, and builds a bucket's structures on its first
+lookup, so a closure's templates hold only what its searches looked up.
+No seed reads a whole table.  The templates hold no query, token or search
+state, so results never depend on what the cache holds or has built.
 
 A smart plan is a bounded core plus one filter on the query constant inside
 a query atom next to the output.  The one shape a call sequence can take is
@@ -344,29 +348,42 @@ def _piece(v: SubFunction, lo: int, hi: int, index: int, forward: bool, designat
     return Member(v.key + (lo, hi), v.skeleton[lo - 1 : hi], index, forward, designated)
 
 
-def _peak(v: SubFunction, lo: int, hi: int, designated=False) -> tuple:
+def _straight(
+    v: SubFunction, lo: int, hi: int, index: int, forward: bool, stretch, designated=False
+) -> _Call:
+    """A call of one member, the window ``lo..hi`` of its view."""
+    return _Call(v, (_piece(v, lo, hi, index, forward, designated),), stretch)
+
+
+def _peak(v: SubFunction, lo: int, hi: int, stretch, designated=False) -> _Call:
     """A call climbing from the entry scan over atoms ``lo..p`` to the
     view's pivot p, whose descent ``p+1..hi`` idles until the scan reaches
     its window."""
     p = v.parent.pivot()
-    return (_piece(v, lo, p, 1, FORWARD, designated), _piece(v, p + 1, hi, p - lo + 1, BACKWARD))
+    members = (_piece(v, lo, p, 1, FORWARD, designated), _piece(v, p + 1, hi, p - lo + 1, BACKWARD))
+    return _Call(v, members, stretch)
 
 
-def _turn(v: SubFunction, hi: int, designated: bool) -> tuple:
+def _turn(v: SubFunction, hi: int, designated: bool, stretch) -> _Call:
     """A call descending over atoms ``p+1..hi`` into the entry scan, p the
     view's pivot, whose ascent ``1..p`` is pending for ``hi - 2p`` scans."""
     p = v.parent.pivot()
     ascent = _piece(v, 1, p, 1 + 2 * p - hi, FORWARD, designated)
-    return (ascent, _piece(v, p + 1, hi, hi - p, BACKWARD))
+    return _Call(v, (ascent, _piece(v, p + 1, hi, hi - p, BACKWARD)), stretch)
+
+
+def _valley(v: SubFunction, lo: int, hi: int) -> _Call:
+    """A call whose atoms ``1..lo`` descend into the entry position and
+    ``hi..n`` climb out of it.  A side without atoms has no member."""
+    n = len(v)
+    sides = (_piece(v, 1, lo, lo, BACKWARD), _piece(v, hi, n, 1, FORWARD))
+    return _Call(v, tuple(m for m in sides if m.atoms), (lo, n - hi + 1))
 
 
 def _dip(v: SubFunction, p: int) -> _Call:
-    """A call diving through its atom ``p`` and climbing back over ``p+1``:
-    atoms ``1..p-1`` descend into the entry position and ``p+2..n`` climb
-    out of it.  A side without atoms has no member."""
-    n = len(v)
-    sides = (_piece(v, 1, p - 1, p - 1, BACKWARD), _piece(v, p + 2, n, 1, FORWARD))
-    return _Call(v, tuple(m for m in sides if m.atoms), (p - 1, n - p - 1))
+    """A call diving through its atom ``p`` and climbing back over ``p+1``,
+    which the call leaves out of its walk: a valley over the rest."""
+    return _valley(v, p - 1, p + 2)
 
 
 @dataclass(frozen=True)
@@ -431,51 +448,68 @@ def _fits(structures) -> bool:
     return designated == 1
 
 
-def _seed_order(structures: Sequence[_Structure], atom) -> list:
-    """The structures emitting ``atom``, then those emitting nothing; for
-    None, every structure grouped by emission in order of first
-    appearance."""
-    if atom is None:
-        groups = {}
-        for s in structures:
-            groups.setdefault(s.emission, []).append(s)
-        return [s for group in groups.values() for s in group]
-    return [s for s in structures if s.emission == atom] + [
-        s for s in structures if s.emission is None
-    ]
-
-
 class _Table:
-    """Structures of one kind in generation order, looked up by the atom
-    they must emit at entry."""
+    """Structures of one kind, bucketed by the atom they emit at entry.
 
-    def __init__(self, structures: Iterable[Optional[_Structure]]):
-        self.all = [s for s in structures if s is not None]
+    ``families`` gives each structure's atom, read off its view's
+    skeleton, and a function that builds its call, in generation order.  A
+    bucket's structures are built on its first lookup (``matching``), and
+    ``all`` from every bucket on its first read, in generation order, so a
+    template is one object wherever it is found.  ``built`` counts the
+    structures built so far.
+    """
+
+    def __init__(self, families):
+        families = list(families)
+        self._families = {}  # atom -> [(rank, make)], in generation order
+        for rank, (atom, make) in enumerate(families):
+            self._families.setdefault(atom, []).append((rank, make))
+        self._structures = [None] * len(families)  # by rank, once its bucket is built
         self._matching = {}
+        self._all = None
+        self.built = 0
 
     def matching(self, atom) -> list:
-        """The structures emitting ``atom`` or nothing, in table order;
-        every structure when ``atom`` is None."""
+        """The structures emitting ``atom``, in table order; every
+        structure when ``atom`` is None."""
         if atom is None:
             return self.all
         found = self._matching.get(atom)
         if found is None:
-            found = [s for s in self.all if s.emission is None or s.emission == atom]
-            self._matching[atom] = found
+            found = self._matching[atom] = []
+            for rank, make in self._families.get(atom, ()):
+                s = self._structures[rank] = _structure(make())
+                self.built += 1
+                if s is not None:
+                    found.append(s)
         return found
+
+    def matching_any(self, atoms) -> list:
+        """The structures emitting any of ``atoms``, in table order."""
+        for atom in atoms:
+            self.matching(atom)
+        return [s for s in self._structures if s is not None and s.emission in atoms]
+
+    @property
+    def all(self) -> list:
+        """Every structure, in table order."""
+        if self._all is None:
+            self._all = self.matching_any(self._families)
+        return self._all
 
 
 class _Templates:
     """What the search builds from the closure alone: the ender, beginner,
     valley and designated tables and the beginner-ender pairs.  Their calls
-    are windows of their views (``_piece``): straight, peaks (``_peak``),
-    turns (``_turn``) or valleys; dips (``_dip``) reach the query atom, so
-    only a query's searcher builds them.
+    are windows of their views (``_piece``): straight (``_straight``),
+    peaks (``_peak``), turns (``_turn``) or valleys (``_valley``); dips
+    (``_dip``) reach the query atom, so only a query's searcher builds them.
 
     Nothing here depends on a query, a seed mode or a run, so one instance
-    serves every search on an equal closure (``_templates``).  It never
-    changes after construction except for the lookups that ``_Table`` and
-    ``pairs`` fill on first use, which follow from the closure too.
+    serves every search on an equal closure (``_templates``).  It builds no
+    structure when it is made: a table builds a bucket on its first lookup
+    (``_Table``) and ``pairs`` an atom's pairs, which follow from the
+    closure too.  ``built`` counts the structures built so far.
     """
 
     def __init__(self, closure: tuple):
@@ -485,62 +519,80 @@ class _Templates:
             p = v.parent.pivot()
             if p is not None and p < len(v):
                 self._loops.append((v, p))
-        self.enders = _Table(_structure(c) for c in self._ender_calls())
-        self.beginners = _Table(_structure(c) for c in self._beginner_calls())
-        self.valleys = _Table(_structure(c) for c in self._valley_calls())
-        self.designated = _Table(_structure(c) for c in self._designated_calls())
+        self.enders = _Table(self._ender_calls())
+        self.beginners = _Table(self._beginner_calls())
+        self.valleys = _Table(self._valley_calls())
+        self.designated = _Table(self._designated_calls())
         self._pair_lists = {}
+        self._pairs_built = 0
+
+    @property
+    def built(self) -> int:
+        tables = (self.enders, self.beginners, self.valleys, self.designated)
+        return self._pairs_built + sum(t.built for t in tables)
 
     def pairs(self, atom) -> list:
-        """Beginner-ender pairs emitting ``atom`` or nothing (every pair for
-        None), beginners outermost, built on first lookup."""
+        """Beginner-ender pairs emitting ``atom`` (every pair for None),
+        beginners outermost, built on first lookup."""
         found = self._pair_lists.get(atom)
         if found is None:
             enders = self.enders.matching(atom)
             beginners = self.beginners.matching(atom)
+            self._pairs_built += len(enders) * len(beginners)
             pairs = (_structure(*b.calls, *e.calls) for b in beginners for e in enders)
             found = self._pair_lists[atom] = [p for p in pairs if p is not None]
         return found
 
+    # Each family yields its atom at entry and its call's builder.
+
     def _ender_calls(self):
-        """Calls whose walk stretch ends at the entry position."""
+        """Calls whose walk stretch ends at the entry position, emitting
+        the inverse of their view's last atom."""
         for v in self.closure:
-            yield _Call(v, (_piece(v, 1, len(v), len(v), BACKWARD),), (len(v), 0))
+            n = len(v)
+            atom = v.skeleton[-1].invert()
+            yield atom, functools.partial(_straight, v, 1, n, n, BACKWARD, (n, 0))
         for v, p in self._loops:
             n = len(v)
+            atom = v.skeleton[-1].invert()
             # The descent enters at this position; the ascent is pending
             # until the scan reaches its window, ``after`` scans on.  It
             # climbs mid-walk, or in a turn call it is the forward path's
             # final piece.
             after = n - 2 * p
             if after >= 0:
-                yield _Call(v, _turn(v, n, False), (after, 0))
+                yield atom, functools.partial(_turn, v, n, False, (after, 0))
             if after > 0:
-                yield _Call(v, _turn(v, n, True), (n - p, 0))
+                yield atom, functools.partial(_turn, v, n, True, (n - p, 0))
 
     def _beginner_calls(self):
-        """Calls whose walk stretch begins at the entry position."""
+        """Calls whose walk stretch begins at the entry position, emitting
+        their view's first atom."""
         for v in self.closure:
-            yield _Call(v, (_piece(v, 1, len(v), 1, FORWARD),), (0, len(v)))
+            n = len(v)
+            yield v.skeleton[0], functools.partial(_straight, v, 1, n, 1, FORWARD, (0, n))
         for v, p in self._loops:
-            if 2 * p >= len(v):
-                yield _Call(v, _peak(v, 1, len(v)), (0, 2 * p - len(v)))
+            n = len(v)
+            if 2 * p >= n:
+                yield v.skeleton[0], functools.partial(_peak, v, 1, n, (0, 2 * p - n))
 
     def _valley_calls(self):
         """Single calls descending into and climbing out of the entry
-        position."""
+        position, emitting the atom after their view's pivot."""
         for v, p in self._loops:
-            ends = (_piece(v, 1, p, p, BACKWARD), _piece(v, p + 1, len(v), 1, FORWARD))
-            yield _Call(v, ends, (p, len(v) - p))
+            yield v.skeleton[p], functools.partial(_valley, v, p, p + 1)
 
     def _designated_calls(self):
-        """The forward path's next piece: any view, or a turn call whose
-        last forward piece and first walk descent cross the top."""
+        """The forward path's next piece, emitting its view's first atom:
+        any view, or a turn call whose last forward piece and first walk
+        descent cross the top."""
         for v in self.closure:
-            yield _Call(v, (_piece(v, 1, len(v), 1, FORWARD, True),))
+            n = len(v)
+            yield v.skeleton[0], functools.partial(_straight, v, 1, n, 1, FORWARD, None, True)
         for v, p in self._loops:
-            if 2 * p >= len(v):
-                yield _Call(v, _peak(v, 1, len(v), True), (p, 2 * p - len(v)))
+            n = len(v)
+            if 2 * p >= n:
+                yield v.skeleton[0], functools.partial(_peak, v, 1, n, (p, 2 * p - n), True)
 
 
 # A catalog's queries and modes run back to back, so a few entries serve
@@ -597,8 +649,8 @@ class _Searcher:
     Every structure that can join a state is a template without token or
     entry scan.  The tables of enders, beginners, valleys and designated
     calls, and the beginner-ender pairs, come from the closure alone: they
-    are built once per closure and shared with every other searcher on an
-    equal closure (``_templates``).  The query's own structures (dips,
+    are shared with every other searcher on an equal closure
+    (``_templates``), each bucket built on its first lookup.  The query's own structures (dips,
     lead calls, tails and bottoms), the seeds, tokens, the states on the
     current path and the results belong to this run.  A state looks its
     candidates up by the atom it emits next, checks them as templates and
@@ -655,10 +707,10 @@ class _Searcher:
             n = len(v)
             if n < 2 or v.skeleton[0] != rel:
                 continue
-            yield _Call(v, (_piece(v, 2, n, 1, FORWARD, True),))
+            yield _straight(v, 2, n, 1, FORWARD, None, True)
             p = v.parent.pivot()
             if p is not None and p < n < 2 * p:
-                yield _Call(v, _peak(v, 2, n, True), (p - 1, 2 * p - 1 - n))
+                yield _peak(v, 2, n, (p - 1, 2 * p - 1 - n), True)
 
     def _tail_calls(self):
         """Calls entering at walk position 0 and ending the walk at 1."""
@@ -668,7 +720,7 @@ class _Searcher:
             if v.skeleton == (inverse,):
                 yield _Call(v, (), (-1, 0))
             elif v.skeleton[0] == inverse and p is not None and 1 < p and len(v) == 2 * p - 1:
-                yield _Call(v, _peak(v, 2, len(v)), (-1, 0))
+                yield _peak(v, 2, len(v), (-1, 0))
 
     def _dip_calls(self):
         """Mid-walk calls diving through the query atom and climbing back.
@@ -699,32 +751,40 @@ class _Searcher:
         # structure's hash covers all of its calls, and the value keeps the
         # structure alive so that its id is not reused.
         stamped = {}
-        # One-call extras: dives through the query atom and valleys.
-        single_extras = [s for s in map(_structure, self._dip_calls()) if s is not None]
-        single_extras += self._valleys.all
-        # Seed-ordered candidates per atom the bottom emits, sorted once per
-        # run: the extras, led by None for no extra, and per mode the
-        # designated options (the lead calls in loose mode).
+        dips = [s for s in map(_structure, self._dip_calls()) if s is not None]
+        # Every candidate emits an atom at entry, so a bottom takes those
+        # emitting its own.  The extras per atom, led by None for no extra,
+        # are gathered once per run: dives through the query atom, valleys
+        # and beginner-ender pairs.
         extras = {}
         for mode in self.modes:
-            designated = self._designated.all
-            if mode == "loose":
-                designated = [s for s in map(_structure, self._lead_calls()) if s is not None]
-            options = {}
-            for bottom, crosses in self._bottoms(mode):
+            # The designated options: the designated table in bounded mode,
+            # the lead calls by their atom in loose mode.
+            leads = None
+            if mode == "bounded":
+                bottoms = self._bounded_bottoms()
+            else:
+                leads = {}
+                for s in map(_structure, self._lead_calls()):
+                    if s is not None:
+                        leads.setdefault(s.emission, []).append(s)
+                bottoms = self._loose_bottoms(leads)
+            for bottom, crosses in bottoms:
                 if bottom is None:
                     continue
                 want = bottom.emission
-                if want not in options:
-                    options[want] = _seed_order(designated, want)
+                if leads is None:
+                    options = self._designated.matching(want)
+                else:
+                    options = leads.get(want, ())
                 extra_list = (None,)
                 if not crosses:
                     extra_list = extras.get(want)
                     if extra_list is None:
-                        extra_list = extras[want] = [None] + _seed_order(
-                            single_extras + self._pairs(want), want
-                        )
-                for extra, des in self._seed_combos(bottom, extra_list, options[want]):
+                        extra_list = extras[want] = [None]
+                        extra_list += (s for s in dips if s.emission == want)
+                        extra_list += self._valleys.matching(want) + self._pairs(want)
+                for extra, des in self._seed_combos(bottom, extra_list, options):
                     members, recs = [], []
                     for s in (extra, des, bottom):
                         if s is not None:
@@ -744,8 +804,7 @@ class _Searcher:
         At most one extra joins: None, a one-call extra or a beginner-ender
         pair from ``extra_list``.  A bottom whose ascent is already active
         at scan 1 owns the forward path's first piece and takes no
-        designated option (None).  Candidates are taken in seed order
-        (``_seed_order``).
+        designated option (None).  Candidates are taken in the order given.
         """
         if bottom.designated:
             options = (None,)
@@ -762,11 +821,14 @@ class _Searcher:
         """A final call descending straight to position 1, then the implicit
         query atom, its last atom."""
         w = len(view) - 1
-        return _Call(view, (_piece(view, 1, w, w, BACKWARD),), (w, -1))
+        return _straight(view, 1, w, w, BACKWARD, (w, -1))
 
-    def _bottoms(self, mode):
-        """Final structures of one seed mode, each with a flag marking
-        bottoms that already cross the query atom (no extra joins them).
+    # The bottoms of each seed mode are its final structures, each with a
+    # flag marking those that already cross the query atom (no extra joins
+    # them).
+
+    def _bounded_bottoms(self):
+        """Final-call structures whose skeleton ends with the query atom.
 
         A final call whose skeleton runs one ``rel^-`` atom past the query
         atom needs no bottom of its own: it descends over the same atoms as
@@ -775,10 +837,6 @@ class _Searcher:
         bottom (its parent's pivot is at its end), so smart enumeration
         swaps that view in afterwards (``_closings``).
         """
-        return self._bounded_bottoms() if mode == "bounded" else self._loose_bottoms()
-
-    def _bounded_bottoms(self):
-        """Final-call structures whose skeleton ends with the query atom."""
         rel = self.query.relation
         for v in self.closure:
             n = len(v)
@@ -791,17 +849,20 @@ class _Searcher:
                 # implicit query atom.  The climb, pending until the scan
                 # reaches its window, is either the forward path's final
                 # piece (designated) or a mid-walk ascent.
-                yield _structure(_Call(v, _turn(v, n - 1, True), (n - 1 - p, -1))), False
-                yield _structure(_Call(v, _turn(v, n - 1, False), (n - 1 - 2 * p, -1))), False
+                yield _structure(_turn(v, n - 1, True, (n - 1 - p, -1))), False
+                yield _structure(_turn(v, n - 1, False, (n - 1 - 2 * p, -1))), False
 
-    def _loose_bottoms(self):
+    def _loose_bottoms(self, atoms):
         """Final structures for walks ending at position 1.
 
         Every ender structure at the first scan position ends the walk
         there; dive-through endings and dip-terminal calls also qualify.
+        Only enders emitting one of ``atoms``, those the lead calls emit,
+        are taken: an ender has no active designated member at scan 1, so
+        it needs a lead call emitting its atom to form a seed.
         """
         rel = self.query.relation
-        for s in self._enders.all:
+        for s in self._enders.matching_any(atoms):
             yield s, False
         tails = list(self._tail_calls())
         for v in self.closure:

@@ -436,8 +436,11 @@ class _Walk(NamedTuple):
 # in `cli._catalogs`, not `functools.lru_cache`, which would leave
 # `__wrapped__` on a module attribute, where perfbench's selftest reads it as
 # a tracer left bound.  `_classes` is looked up at each miss, so a wrapper
-# bound there (a test's counter) sees every real walk.
-_WALK_MEMO_SIZE = 8
+# bound there (a test's counter) sees every real walk.  The bound holds the
+# 27 shapes that oracle checks of the item-1 corpus's plans reach, where 8
+# entries walked 546 times; an entry holds up to about 0.74 MB at the
+# default cap.
+_WALK_MEMO_SIZE = 32
 _walks: "OrderedDict[tuple, _Walk]" = OrderedDict()
 
 

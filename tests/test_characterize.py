@@ -219,7 +219,9 @@ def test_is_weakly_smart_checks_the_plan_it_is_given():
     # Each plan has no semantics, and trimming or narrowing its calls
     # would hide why: the second getCompany call does not read the first
     # one's output, or x is bound twice.  Both deciders raise the error
-    # that `plan_semantics` raises on the plan as given.
+    # that `plan_semantics` raises on the plan as given, also where the
+    # rewrites refuse the plan first: the third plan's first call has no
+    # used output.
     company, hierarchy, _ = (SubFunction(f, len(f)) for f in fig1_catalog())
     q = AtomicQuery(Atom("worksFor"), "Anna")
 
@@ -238,7 +240,19 @@ def test_is_weakly_smart_checks_the_plan_it_is_given():
             "v3",
         ),
     ]
-    for plan, error in zip(plans, (NotChainedError, ModelError)):
+    plans.insert(
+        1,
+        ExecutionPlan(
+            (
+                call(company, "Anna", "v0"),
+                call(company, "Anna", "v1"),
+                call(hierarchy, "v1", "v2", "v3"),
+            ),
+            (),
+            "v3",
+        ),
+    )
+    for plan, error in zip(plans, (NotChainedError, NotChainedError, ModelError), strict=True):
         with pytest.raises(error) as expected:
             plan_semantics(plan)
         for decide in (is_smart, is_weakly_smart):

@@ -23,7 +23,7 @@ from pathplan import (
     oracle_is_weakly_smart,
     susie_plans,
 )
-from pathplan import characterize, engine, synth
+from pathplan import characterize, engine, evaluate, synth
 from pathplan.characterize import SMART, is_bounded, weakly_smart_skeleton
 from pathplan.dsl import parse_catalog, serialize_catalog, serialize_plan
 from pathplan.engine import (
@@ -597,13 +597,81 @@ def test_late_templates_stretch_forward():
     checked = 0
     for cat in catalogs:
         templates = engine._Templates(tuple(catalog_closure(cat)))
-        tables = (templates.enders, templates.beginners, templates.valleys, templates.designated)
-        structures = [s for table in tables for s in table.all] + templates.pairs(None)
+        structures = [s for table in _tables(templates) for s in table.all]
+        structures += templates.pairs(None)
         for call in (call for s in structures for call in s.calls):
             if call.stretch is not None:
                 assert min(call.stretch) >= 0, (call.view, call.stretch)
                 checked += 1
     assert checked == 17328  # calls checked: no family is skipped unseen
+
+
+def _tables(templates):
+    return (templates.enders, templates.beginners, templates.valleys, templates.designated)
+
+
+def test_tables_build_their_buckets_on_demand():
+    # A table buckets its families by the atom read off each view's
+    # skeleton and builds a bucket on its first lookup.  Each bucket holds
+    # what the eager build, every family built in generation order, held
+    # for that atom, in the same order; `all` is the eager list whichever
+    # bucket was built first, and a template is one object in both.
+    catalogs = [_differential_catalog(t) for t in range(300)]
+    catalogs += [_multi_output_catalog(seed) for seed in range(300)]
+    catalogs += itertools.islice(_no_existential_catalogs(), 696)
+    checked = 0
+    for cat in catalogs:
+        closure = tuple(catalog_closure(cat))
+        alphabet = sorted({b for v in closure for a in v.skeleton for b in (a, a.invert())})
+        families = engine._Templates(closure)
+        eager = [
+            [s for s in (engine._structure(make()) for _, make in calls()) if s is not None]
+            for calls in (
+                families._ender_calls,
+                families._beginner_calls,
+                families._valley_calls,
+                families._designated_calls,
+            )
+        ]
+        # Buckets first, in either order, or every structure first.
+        for atoms in (alphabet + [None], [None] + alphabet[::-1]):
+            templates = engine._Templates(closure)
+            assert templates.built == 0
+            for table, structures in zip(_tables(templates), eager):
+                found = {}
+                for atom in atoms:
+                    found[atom] = table.matching(atom)
+                    if atom is not None:
+                        assert all(s.emission == atom for s in found[atom]), atom
+                    assert found[atom] == [
+                        s for s in structures if atom is None or s.emission in (None, atom)
+                    ], atom
+                    checked += len(found[atom])
+                assert table.all is found[None] and table.all == structures
+                assert sorted(map(id, table.all)) == sorted(
+                    id(s) for atom in alphabet for s in found[atom]
+                )
+    assert checked == 84244  # structures checked: no family is skipped unseen
+
+
+def test_cold_sweep_builds_only_what_its_searches_look_up(monkeypatch):
+    # One cold pass of the heavy sweep point's ten catalogs makes templates
+    # for nine closures.  Their tables hold 899 families, which were once
+    # all built up front; the pass builds 302 of them and 195 pairs.
+    made = []
+    build = engine._Templates
+
+    def record(closure):
+        made.append(build(closure))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "_Templates", record)
+    engine._templates.cache_clear()
+    for seed in range(10):
+        synth.answered_fractions(gen_catalog(SynthConfig(4, 30, 3, seed=seed)), timeout_ms=120_000)
+    families = sum(len(t._structures) for templates in made for t in _tables(templates))
+    tables = sum(t.built for templates in made for t in _tables(templates))
+    assert (len(made), families, tables, sum(t.built for t in made)) == (9, 899, 302, 497)
 
 
 def test_searched_paths_keep_their_top_above_the_scan(monkeypatch):
@@ -769,21 +837,25 @@ def test_find_one_agrees_with_enumeration_on_item1_corpus():
 
 def test_item1_plans_hold_under_their_oracles():
     # Every emitted plan of at most five calls on the item-1 corpus is
-    # confirmed by the brute-force oracle of its kind.
+    # confirmed by the brute-force oracle of its kind.  Their universe
+    # layers have 27 shapes, and the oracles' walk memo holds them all, so
+    # each is walked once.
     budget = dict(budget=6, max_instances=300)
     checked = 0
-    for t in range(300):
-        cat = _differential_catalog(t)
-        for q in _oriented_queries(cat):
-            for enumerate_plans, oracle in (
-                (enumerate_minimal_weakly_smart, oracle_is_weakly_smart),
-                (enumerate_minimal_smart, oracle_is_smart),
-            ):
-                for hit in enumerate_plans(q, cat):
-                    if len(hit.views) <= 5:
-                        assert oracle(hit.plan, q, **budget).verdict, (t, q, hit.views)
-                        checked += 1
-    assert checked == 1935
+    evaluate._walks.clear()
+    with count_calls(evaluate, "_classes") as walked:
+        for t in range(300):
+            cat = _differential_catalog(t)
+            for q in _oriented_queries(cat):
+                for enumerate_plans, oracle in (
+                    (enumerate_minimal_weakly_smart, oracle_is_weakly_smart),
+                    (enumerate_minimal_smart, oracle_is_smart),
+                ):
+                    for hit in enumerate_plans(q, cat):
+                        if len(hit.views) <= 5:
+                            assert oracle(hit.plan, q, **budget).verdict, (t, q, hit.views)
+                            checked += 1
+    assert (checked, walked.calls) == (1935, 27)
 
 
 def test_find_one_state_counts_pinned():
@@ -982,14 +1054,17 @@ def test_template_members_hold_their_windows():
     # halves, reads what the call really covers.
     def calls(closure, queries):
         templates = engine._Templates(tuple(closure))
-        tables = (templates.enders, templates.beginners, templates.valleys, templates.designated)
-        structures = [s for table in tables for s in table.all]
+        structures = [s for table in _tables(templates) for s in table.all]
         own = []
         for q in queries:
             searcher = _Searcher(closure, q)
-            own += [*searcher._lead_calls(), *searcher._tail_calls(), *searcher._dip_calls()]
-            for mode in engine._WALK_END:
-                structures += [s for s, _ in searcher._bottoms(mode) if s is not None]
+            leads = list(searcher._lead_calls())
+            own += [*leads, *searcher._tail_calls(), *searcher._dip_calls()]
+            # A run's loose bottoms take the enders of its leads' atoms,
+            # which the tables above hold already.
+            atoms = {s.emission for s in map(engine._structure, leads) if s is not None}
+            bottoms = [*searcher._bounded_bottoms(), *searcher._loose_bottoms(atoms)]
+            structures += [s for s, _ in bottoms if s is not None]
         return own + [call for s in structures for call in s.calls]
 
     catalogs = [_differential_catalog(t) for t in range(300)]
@@ -1008,7 +1083,7 @@ def test_template_members_hold_their_windows():
             windows.sort()
             assert all(a[1] < b[0] for a, b in zip(windows, windows[1:])), (view, windows)
             checked += len(windows)
-    assert checked == 47852  # members checked: no family is skipped unseen
+    assert checked == 25401  # members checked: no family is skipped unseen
 
 
 def test_weak_screen_is_necessary():
